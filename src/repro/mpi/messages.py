@@ -32,6 +32,11 @@ class MessageKind(enum.Enum):
     CONTROL = "control"
     MARKER = "marker"
 
+    #: members are singletons compared by identity, so the C identity hash
+    #: serves; ``Enum.__hash__`` is a Python-level call, and every inbox
+    #: channel key hashes a kind
+    __hash__ = object.__hash__
+
 
 _message_counter = itertools.count()
 

@@ -51,6 +51,10 @@ CONTROL_TAG_BASE = 2_000_000
 #: hot-path alias — one global load instead of an enum attribute chain
 _APP = MessageKind.APP
 
+#: stale source-wildcard index entries an inbox tolerates beyond its buffered
+#: messages before compacting (see :class:`Inbox`)
+_STALE_SLACK = 32
+
 
 class Inbox:
     """Indexed per-rank message buffer with blocking, tag-matched ``get``.
@@ -66,25 +70,59 @@ class Inbox:
     * **FIFO per channel** — each bucket is a deque in delivery order.
     * **Global delivery order for wildcards** — every buffered message
       carries a per-inbox arrival stamp; a wildcard receive (``src`` and/or
-      ``tag`` ``None``) takes the *earliest-delivered* match across its
-      candidate buckets, exactly what the first-match list scan returned.
-      Wildcards are rare (protocol barrier collection, Chandy–Lamport
-      markers), so the bucket sweep they pay is off the hot path.
+      ``tag`` ``None``) takes the *earliest-delivered* match, exactly what
+      the first-match list scan returned.
     * **Waiter order** — blocked getters are woken in registration order
       through the simulator's immediate queue, exactly like
       ``Store._dispatch`` (``stats.store_wakeups`` counts the same events).
     * **Capture in delivery order** — :meth:`items_in_order` enumerates the
       buckets merged by arrival stamp, so ``capture_resume``'s inbox capture
       lists messages exactly as the seed's insertion-ordered ``items`` did.
+
+    Wildcard receives are on the hot path at the paper's scale: every
+    NORM/GP bookmark and barrier collection and every Chandy–Lamport marker
+    is a ``(kind, ANY_SOURCE, tag)`` receive, repeated per peer per wave.
+    Two rules keep them cheap:
+
+    * **Reclaim.** A bucket is deleted the moment it empties, so
+      ``_buckets`` holds only channels with buffered messages — not every
+      channel the rank ever used (per-wave control tags would otherwise
+      grow it, and every wildcard sweep, without limit).
+    * **Source-wildcard index.** Every buffered message is also appended to
+      an arrival-ordered deque per ``(kind, tag)`` in ``_index``.  Each
+      channel is consumed FIFO, so the taken messages of a channel are
+      always a prefix of it: the first index entry that is still the head
+      of its bucket is the earliest-delivered live match.  A
+      ``(kind, ANY_SOURCE, tag)`` receive pops entries from the left until
+      it finds one, dropping the *stale* entries (messages already taken by
+      another receive) it passes.  A receive that takes a message other
+      than its index head leaves a stale entry behind and counts it; when
+      stale entries outnumber the buffered messages by more than
+      ``_STALE_SLACK``, or nothing is buffered any more, the index is
+      compacted down to the live entries.  Its size therefore stays within
+      twice the buffer plus a constant, and every operation is amortised
+      O(1).  Other wildcard shapes (``ANY_TAG``, any kind) sweep the live
+      buckets.
+
+    ``sim.stats.inbox_scan_steps`` counts the buckets and index entries
+    wildcard receives inspect.  The index relies on each message object
+    being put at most once into a given inbox, which the runtime guarantees:
+    every delivery is a fresh message, and a rollback restores its capture
+    into a freshly reset inbox.
     """
 
-    __slots__ = ("sim", "rank", "_buckets", "_waiters", "_arrival", "_n_items")
+    __slots__ = ("sim", "rank", "_buckets", "_index", "_n_stale", "_waiters",
+                 "_arrival", "_n_items")
 
     def __init__(self, sim: Simulator, rank: int) -> None:
         self.sim = sim
         self.rank = rank
-        #: (kind, src, tag) -> deque of messages in delivery order
+        #: (kind, src, tag) -> non-empty deque of messages in delivery order
         self._buckets: Dict[Tuple[Any, int, int], deque] = {}
+        #: (kind, tag) -> deque of messages in delivery order, live or stale
+        self._index: Dict[Tuple[Any, int], deque] = {}
+        #: stale (already taken) entries still held by ``_index``
+        self._n_stale = 0
         #: blocked getters in registration order: (event, kind, src, tag)
         self._waiters: List[Tuple[Event, Any, Optional[int], Optional[int]]] = []
         self._arrival = 0
@@ -98,8 +136,8 @@ class Inbox:
         """Deposit ``msg``; wake the first matching blocked getter, if any."""
         self._arrival += 1
         msg._arrival = self._arrival
+        kind, src, tag = msg.kind, msg.src, msg.tag
         if self._waiters:
-            kind, src, tag = msg.kind, msg.src, msg.tag
             remaining: List[Tuple[Event, Any, Optional[int], Optional[int]]] = []
             waiters = self._waiters
             taken = False
@@ -118,11 +156,16 @@ class Inbox:
             self._waiters = remaining
             if taken:
                 return
-        key = (msg.kind, msg.src, msg.tag)
+        key = (kind, src, tag)
         bucket = self._buckets.get(key)
         if bucket is None:
             bucket = self._buckets[key] = deque()
         bucket.append(msg)
+        key = (kind, tag)
+        entries = self._index.get(key)
+        if entries is None:
+            entries = self._index[key] = deque()
+        entries.append(msg)
         self._n_items += 1
 
     # -- get ---------------------------------------------------------------
@@ -140,10 +183,14 @@ class Inbox:
         ev = Event(self.sim)
         if self._n_items:
             if kind is not None and src is not None and tag is not None:
-                bucket = self._buckets.get((kind, src, tag))
-                if bucket:
-                    self._n_items -= 1
-                    self._fire(ev, bucket.popleft())
+                key = (kind, src, tag)
+                bucket = self._buckets.get(key)
+                if bucket is not None:
+                    msg = bucket.popleft()
+                    if not bucket:
+                        del self._buckets[key]
+                    self._unindex(msg)
+                    self._fire(ev, msg)
                     return ev
             else:
                 msg = self._pop_wildcard(kind, src, tag)
@@ -160,11 +207,39 @@ class Inbox:
         tag: Optional[int],
     ) -> Optional[Message]:
         """Earliest-delivered buffered message matching a wildcard pattern."""
+        buckets = self._buckets
+        stats = self.sim.stats
+        if src is None and kind is not None and tag is not None:
+            # ANY_SOURCE: the first index entry still heading its bucket
+            ikey = (kind, tag)
+            entries = self._index.get(ikey)
+            if entries is None:
+                return None
+            found = None
+            steps = 0
+            while entries:
+                msg = entries.popleft()
+                steps += 1
+                key = (kind, msg.src, tag)
+                bucket = buckets.get(key)
+                if bucket is not None and bucket[0] is msg:
+                    bucket.popleft()
+                    if not bucket:
+                        del buckets[key]
+                    found = msg
+                    break
+                self._n_stale -= 1
+            if not entries:
+                del self._index[ikey]
+            stats.inbox_scan_steps += steps
+            if found is not None:
+                self._n_items -= 1
+                self._maybe_compact()
+            return found
         best_key = None
         best_arrival = -1
-        for key, bucket in self._buckets.items():
-            if not bucket:
-                continue
+        stats.inbox_scan_steps += len(buckets)
+        for key, bucket in buckets.items():
             if ((kind is None or key[0] is kind)
                     and (src is None or key[1] == src)
                     and (tag is None or key[2] == tag)):
@@ -174,8 +249,46 @@ class Inbox:
                     best_arrival = arrival
         if best_key is None:
             return None
+        bucket = buckets[best_key]
+        msg = bucket.popleft()
+        if not bucket:
+            del buckets[best_key]
+        self._unindex(msg)
+        return msg
+
+    def _unindex(self, msg: Message) -> None:
+        """Account for ``msg`` leaving its bucket other than by the index."""
         self._n_items -= 1
-        return self._buckets[best_key].popleft()
+        key = (msg.kind, msg.tag)
+        entries = self._index[key]
+        if entries[0] is msg:
+            entries.popleft()
+            if not entries:
+                del self._index[key]
+        else:
+            self._n_stale += 1
+        self._maybe_compact()
+
+    def _maybe_compact(self) -> None:
+        """Drop the index's stale entries once they outgrow the buffer."""
+        if self._n_stale and not self._n_items:
+            self._index.clear()
+            self._n_stale = 0
+        elif self._n_stale > self._n_items + _STALE_SLACK:
+            # a buffered message is live iff it is at or behind its bucket's
+            # head (each channel's taken messages are a prefix of it)
+            buckets = self._buckets
+            index = {}
+            for ikey, entries in self._index.items():
+                live = deque()
+                for msg in entries:
+                    bucket = buckets.get((msg.kind, msg.src, msg.tag))
+                    if bucket is not None and bucket[0]._arrival <= msg._arrival:
+                        live.append(msg)
+                if live:
+                    index[ikey] = live
+            self._index = index
+            self._n_stale = 0
 
     def _fire(self, ev: Event, msg: Message) -> None:
         # Exactly Store._dispatch's wake path: trigger in place and deliver

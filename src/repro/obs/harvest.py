@@ -34,7 +34,10 @@ def harvest_app(app, telemetry: Telemetry) -> None:
     sim = app.contexts[0].sim if app.contexts else None
     if sim is not None:
         m.counter("sim.events.processed").inc(sim.processed_events)
-        m.merge_counts(sim.stats.as_dict(), prefix="sim.events.")
+        counts = sim.stats.as_dict()
+        # a cost counter of the inbox implementation, not simulated behaviour
+        del counts["inbox_scan_steps"]
+        m.merge_counts(counts, prefix="sim.events.")
 
     # per-rank runtime tallies, summed (the per-rank split stays on RankStats)
     for ctx in app.contexts:

@@ -72,6 +72,7 @@ class SimStats:
         "fastpath_rx",
         "fastpath_local",
         "events_elided",
+        "inbox_scan_steps",
     )
 
     def __init__(self) -> None:
@@ -88,6 +89,7 @@ class SimStats:
         self.fastpath_rx = 0          # closed-form delivery paths
         self.fastpath_local = 0       # same-node deliveries without a process
         self.events_elided = 0        # calendar events the fast paths avoided
+        self.inbox_scan_steps = 0     # buckets/index entries wildcard receives inspected
 
     def as_dict(self) -> Dict[str, int]:
         """Plain-dict snapshot (for payloads, logs and benchmark reports)."""

@@ -1,6 +1,9 @@
 """Tests for the analysis layer: metrics, trace statistics, reporting, advisor."""
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.advisor import (
     expected_overhead_fraction,
@@ -12,6 +15,7 @@ from repro.analysis.metrics import (
     aggregate_coordination_time,
     aggregate_restart_time,
     mean_checkpoint_duration,
+    progress_gap_fraction,
     stage_breakdown,
 )
 from repro.analysis.reporting import Series, Table, format_table, series_table
@@ -59,6 +63,68 @@ def test_stage_breakdown_averages_across_records():
 def test_aggregate_restart_time():
     records = [RestartRecord(rank=r, start=0.0, end=2.0) for r in range(3)]
     assert aggregate_restart_time(records) == pytest.approx(6.0)
+
+
+def _linear_gap_fraction(deliveries, windows, bin_s):
+    """The original per-bin linear scan, kept as the reference."""
+    windows = [w for w in windows if w[1] > w[0]]
+    if not windows:
+        return 0.0
+    delivery_times = sorted(t for t, _, _, _ in deliveries)
+    total_bins = 0
+    empty_bins = 0
+    for lo, hi in windows:
+        t = lo
+        while t < hi:
+            t_next = min(t + bin_s, hi)
+            total_bins += 1
+            if not any(t <= d < t_next for d in delivery_times):
+                empty_bins += 1
+            t = t_next
+    if total_bins == 0:
+        return 0.0
+    return empty_bins / total_bins
+
+
+def _gap(times, windows, bin_s=0.25):
+    deliveries = [(t, 0, 1, 8) for t in times]
+    result = SimpleNamespace(deliveries=deliveries, checkpoint_records=[])
+    got = progress_gap_fraction(result, windows, bin_s)
+    assert got == _linear_gap_fraction(deliveries, windows, bin_s)
+    return got
+
+
+def test_progress_gap_fraction_bin_edges():
+    # bins [0, .25) [.25, .5) [.5, .75) [.75, 1): a delivery on a bin's lower
+    # edge belongs to it, one on the window's upper edge to no bin
+    assert _gap([0.25, 0.5], [(0.0, 1.0)]) == 0.5
+    assert _gap([1.0], [(0.0, 1.0)]) == 1.0
+    assert _gap([0.0, 0.75], [(0.0, 1.0)]) == 0.5
+    # partial last bin [1.0, 1.1)
+    assert _gap([1.05], [(0.0, 1.1)]) == 0.8
+    assert _gap([1.1], [(0.0, 1.1)]) == 1.0
+
+
+def test_progress_gap_fraction_degenerate_windows():
+    assert _gap([0.1], []) == 0.0
+    assert _gap([0.1], [(0.5, 0.5), (1.0, 0.5)]) == 0.0
+    assert _gap([], [(0.0, 1.0)]) == 1.0
+    # overlapping windows count their shared bins twice
+    assert _gap([0.6], [(0.0, 1.0), (0.5, 1.5)]) == 6 / 8
+    with pytest.raises(ValueError):
+        _gap([], [(0.0, 1.0)], bin_s=0.0)
+
+
+_eighths = st.integers(min_value=0, max_value=40).map(lambda k: k / 8)
+_instant = _eighths | st.floats(min_value=0.0, max_value=5.0)
+
+
+@given(times=st.lists(_instant, max_size=30),
+       windows=st.lists(st.tuples(_instant, _instant), max_size=5),
+       bin_s=st.sampled_from([0.1, 0.25, 0.5, 0.3]))
+@settings(max_examples=200, deadline=None)
+def test_progress_gap_fraction_matches_linear_scan(times, windows, bin_s):
+    _gap(times, windows, bin_s)
 
 
 # -------------------------------------------------------------------------- trace analysis
