@@ -28,7 +28,6 @@ from repro.ckpt.presets import (
     gp1_family,
     gp4_family,
     gp_family,
-    gp_family_from_trace,
     vcl_family,
 )
 from repro.core import (
@@ -61,7 +60,6 @@ __all__ = [
     "gp1_family",
     "gp4_family",
     "gp_family",
-    "gp_family_from_trace",
     "vcl_family",
     "GroupSet",
     "GroupProtocolFamily",

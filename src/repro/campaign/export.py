@@ -217,11 +217,6 @@ def stored_results(
     return out
 
 
-def store_to_csv(store: CampaignStore, path: str) -> int:
-    """Dump every ``done`` row of a store to CSV (see :func:`results_to_csv`)."""
-    return results_to_csv(stored_results(store), path)
-
-
 def summary_table(store: CampaignStore) -> Table:
     """One-row status summary of a store (pending/running/done/failed)."""
     counts = store.counts()

@@ -22,10 +22,8 @@ from typing import Optional
 from repro.ckpt.base import ProtocolConfig
 from repro.ckpt.blcr import BlcrModel
 from repro.ckpt.chandy_lamport import VclConfig, VclProtocolFamily
-from repro.core.formation import form_groups
 from repro.core.groups import GroupSet
 from repro.core.protocol import GroupProtocolFamily
-from repro.mpi.trace import TraceLog
 
 
 def norm_family(
@@ -72,19 +70,6 @@ def gp_family(
 ) -> GroupProtocolFamily:
     """GP: trace-assisted grouping (pass the GroupSet produced by Algorithm 2)."""
     return GroupProtocolFamily(groups, config=config, blcr=blcr, name=name or "GP")
-
-
-def gp_family_from_trace(
-    trace: TraceLog,
-    n_ranks: int,
-    max_group_size: Optional[int] = None,
-    config: Optional[ProtocolConfig] = None,
-    blcr: Optional[BlcrModel] = None,
-    name: Optional[str] = None,
-) -> GroupProtocolFamily:
-    """GP: run Algorithm 2 on ``trace`` and build the family in one step."""
-    formation = form_groups(trace, max_group_size=max_group_size, n_ranks=n_ranks)
-    return gp_family(formation.groupset, config=config, blcr=blcr, name=name)
 
 
 def vcl_family(

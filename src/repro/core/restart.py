@@ -17,25 +17,30 @@ Because checkpoints within a group are coordinated, intra-group channels never
 need replay; under NORM nothing needs replay at all; under GP1 every channel
 may need replay — which is exactly the ordering of Figures 6b, 7 and 8.
 
-Two orchestrators share that stage structure:
+Two entry points run that stage sequence and share its stage code (the
+rebuild and R/S-exchange stages, and the :class:`ReplayJoin` a rank waits on
+for the replay it is owed):
 
 * :func:`simulate_restart` — the *post-hoc* whole-application restart used by
   the paper's Figures 6b/7/8 (a fresh simulator, every rank restarts from its
   latest checkpoint), and
-* :class:`LiveRecovery` — the *in-flight* recovery run inside the original
-  simulation when a failure injector kills a rank mid-run: only the victim's
-  group rolls back (to the newest checkpoint every member completed), peers
-  replay their logged messages over the live network while out-of-group ranks
-  keep executing, and the rolled-back scripts re-execute from their resume
-  points.  This is the measured counterpart of the analytic
-  ``expected_lost_work`` model.
+* :class:`LiveRecovery` — the one *in-flight* recovery engine, run inside the
+  original simulation when a failure injector kills a rank mid-run.  It owns
+  detection, rollback, lost-work measurement, the per-rank restart pipeline,
+  the barrier, the relaunch and the report; a *scope policy* makes the only
+  decisions that differ — the recovery line, the participating ranks and
+  each rank's image restore.  **Group rollback** rolls only the victims'
+  groups back while peers replay their logs over the live network and
+  out-of-group ranks keep executing (the measured counterpart of the
+  analytic ``expected_lost_work`` model); **elastic shrink** resets the whole
+  job and repartitions it onto the survivors (:func:`plan_repartition`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Generator, Iterable, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
 from repro.ckpt.base import CheckpointSnapshot, ProtocolConfig, RestartRecord
 from repro.ckpt.blcr import BlcrModel
@@ -77,11 +82,6 @@ class RestartResult:
     def aggregate_restart_time(self) -> float:
         """Sum of per-process restart times (Figure 6b / 11b / 12b metric)."""
         return sum(rec.duration for rec in self.records)
-
-    @property
-    def max_restart_time(self) -> float:
-        """Slowest process's restart time."""
-        return max((rec.duration for rec in self.records), default=0.0)
 
     @property
     def total_replay_bytes(self) -> int:
@@ -162,6 +162,59 @@ def skip_volumes(result: ApplicationResult) -> Dict[Tuple[int, int], int]:
     return out
 
 
+class ReplayJoin:
+    """Per-rank join on incoming log replay.
+
+    Counts, for each rank in ``ranks``, the replay channels still owed to it
+    and holds one event per rank that fires once the last of them landed
+    (immediately, for a rank owed nothing).  A restarting rank yields its
+    event before it may pass the replay stage.
+    """
+
+    def __init__(self, sim: Simulator, ranks: Iterable[int],
+                 channel_dsts: Iterable[int]) -> None:
+        self.sim = sim
+        self.remaining: Dict[int, int] = dict.fromkeys(ranks, 0)
+        for dst in channel_dsts:
+            if dst in self.remaining:
+                self.remaining[dst] += 1
+        self.done: Dict[int, Event] = {}
+        for rank, owed in self.remaining.items():
+            self.done[rank] = event = Event(sim, name="replayed")
+            if owed == 0:
+                event.succeed(0)
+
+    def landed(self, dst: int) -> None:
+        """One channel into ``dst`` finished replaying."""
+        owed = self.remaining.get(dst)
+        if owed is None:
+            return
+        self.remaining[dst] = owed - 1
+        if owed == 1 and not self.done[dst].triggered:
+            self.done[dst].succeed(self.sim.now)
+
+
+Marks = List[Tuple[str, float, float]]
+
+
+def rebuild_stage(sim: Simulator, rebuild_s: float,
+                  marks: Marks) -> Generator[Event, None, None]:
+    """Restart stage 2: rebuild the MPI library's internal structures."""
+    t0 = sim.now
+    yield sim.timeout(rebuild_s)
+    marks.append(("rebuild", t0, sim.now))
+
+
+def exchange_stage(sim: Simulator, network_spec: Any, n_peers: int,
+                   marks: Marks) -> Generator[Event, None, None]:
+    """Restart stage 3: one R/S round trip with each out-of-group peer."""
+    t0 = sim.now
+    if n_peers:
+        rtt = 2 * (network_spec.latency_s + network_spec.per_message_overhead_s)
+        yield sim.timeout(n_peers * rtt)
+    marks.append(("exchange", t0, sim.now))
+
+
 def simulate_restart(
     result: ApplicationResult,
     cluster_spec: ClusterSpec,
@@ -193,20 +246,13 @@ def simulate_restart(
     storage = cluster.hierarchy
 
     channels = replay_volumes(result)
-    incoming: Dict[int, List[ReplayChannel]] = {}
     outgoing: Dict[int, List[ReplayChannel]] = {}
     for ch in channels:
-        incoming.setdefault(ch.dst, []).append(ch)
         outgoing.setdefault(ch.src, []).append(ch)
 
     prepared_time: Dict[int, float] = {}
-    prepared_event: Dict[int, Event] = {r: Event(sim, name=f"prepared:{r}") for r in range(n_ranks)}
-    incoming_remaining: Dict[int, int] = {r: len(incoming.get(r, [])) for r in range(n_ranks)}
-    incoming_done: Dict[int, Event] = {r: Event(sim, name=f"replayed:{r}") for r in range(n_ranks)}
-    for r in range(n_ranks):
-        if incoming_remaining[r] == 0:
-            incoming_done[r].succeed(0)
-    stage_times: Dict[int, Dict[str, float]] = {r: {} for r in range(n_ranks)}
+    join = ReplayJoin(sim, range(n_ranks), (ch.dst for ch in channels))
+    stage_marks: Dict[int, Marks] = {r: [] for r in range(n_ranks)}
     replay_received: Dict[int, int] = {r: 0 for r in range(n_ranks)}
     replay_sent: Dict[int, int] = {r: 0 for r in range(n_ranks)}
     resend_ops: Dict[int, int] = {r: 0 for r in range(n_ranks)}
@@ -219,20 +265,18 @@ def simulate_restart(
         snap = snapshots.get(rank)
         ctx = result.contexts[rank]
         image_bytes = snap.image_bytes if snap is not None else blcr.image_bytes(ctx.memory_bytes)
+        marks = stage_marks[rank]
 
         # 1. restore the process image
         t0 = sim.now
         yield from storage.read(node, image_bytes)
         yield sim.timeout(blcr.restore_exec_s)
-        stage_times[rank]["image"] = sim.now - t0
+        marks.append(("image", t0, sim.now))
 
         # 2. rebuild MPI internal structures
-        t0 = sim.now
-        yield sim.timeout(config.restart_rebuild_s)
-        stage_times[rank]["rebuild"] = sim.now - t0
+        yield from rebuild_stage(sim, config.restart_rebuild_s, marks)
 
         # 3. exchange R/S volumes with out-of-group peers (one round trip each)
-        t0 = sim.now
         out_peers: set[int] = set()
         if snap is not None:
             out_peers = {
@@ -240,10 +284,7 @@ def simulate_restart(
                 for p in (set(snap.ss) | set(snap.rr))
                 if p != rank and p not in snap.group_members
             }
-        rtt = 2 * (network.spec.latency_s + network.spec.per_message_overhead_s)
-        if out_peers:
-            yield sim.timeout(len(out_peers) * rtt)
-        stage_times[rank]["exchange"] = sim.now - t0
+        yield from exchange_stage(sim, network.spec, len(out_peers), marks)
 
         # 4. replay logged messages this rank owes to out-of-group peers
         t0 = sim.now
@@ -254,15 +295,12 @@ def simulate_restart(
             replay_sent[rank] += ch.nbytes
             resend_ops[rank] += ch.n_messages
             replay_received[ch.dst] += ch.nbytes
-            incoming_remaining[ch.dst] -= 1
-            if incoming_remaining[ch.dst] == 0 and not incoming_done[ch.dst].triggered:
-                incoming_done[ch.dst].succeed(sim.now)
+            join.landed(ch.dst)
         # ... and wait for every replay destined to this rank
-        yield incoming_done[rank]
-        stage_times[rank]["replay"] = sim.now - t0
+        yield join.done[rank]
+        marks.append(("replay", t0, sim.now))
 
         prepared_time[rank] = sim.now
-        prepared_event[rank].succeed(sim.now)
 
     for rank in range(n_ranks):
         sim.process(rank_restart(rank), name=f"restart:{rank}")
@@ -279,7 +317,8 @@ def simulate_restart(
         members = snap.group_members if snap is not None else (rank,)
         group_ready = max(prepared_time.get(m, prepared_time[rank]) for m in members)
         end = group_ready + barrier_cost_s
-        stage_times[rank]["barrier"] = end - prepared_time[rank]
+        stages = {name: t1 - t0 for name, t0, t1 in stage_marks[rank]}
+        stages["barrier"] = end - prepared_time[rank]
         image_bytes = snap.image_bytes if snap is not None else 0
         out.records.append(
             RestartRecord(
@@ -291,7 +330,7 @@ def simulate_restart(
                 replay_bytes_received=replay_received[rank],
                 resend_operations=resend_ops[rank],
                 skip_bytes=skip_by_sender.get(rank, 0),
-                stages=stage_times[rank],
+                stages=stages,
             )
         )
     return out
@@ -328,8 +367,10 @@ class RecoveryReport:
     rollback_ranks: Tuple[int, ...]
     #: checkpoint id the group rolled back to (None = restart from scratch)
     target_ckpt_id: Optional[int]
-    detected_at: float = 0.0
-    completed_at: float = 0.0
+    #: end of the detection delay (None while the failure is undetected)
+    detected_at: Optional[float] = None
+    #: resumption, or the unsurvivable verdict (None while in flight)
+    completed_at: Optional[float] = None
     ranks: List[RankRecovery] = field(default_factory=list)
     #: channels actually replayed, with measured bytes/messages
     channels: List[ReplayChannel] = field(default_factory=list)
@@ -408,8 +449,10 @@ def rollback_scope(runtime: "MpiRuntime", victims: Sequence[int]) -> Set[int]:
 def common_checkpoint_ids(runtime: "MpiRuntime", members: Sequence[int]) -> List[int]:
     """Checkpoint ids *every* member holds a snapshot for, newest first.
 
-    Empty means at least one member never checkpointed — the group can only
-    restart from scratch.
+    A failure can hit mid-wave, leaving some members with a newer snapshot
+    than others; a recovery line must be a checkpoint all of them completed
+    dumping.  Empty means at least one member never checkpointed — the group
+    can only restart from scratch.
     """
     common: Optional[Set[int]] = None
     for rank in members:
@@ -421,28 +464,67 @@ def common_checkpoint_ids(runtime: "MpiRuntime", members: Sequence[int]) -> List
     return sorted(common or (), reverse=True)
 
 
-def common_checkpoint_id(runtime: "MpiRuntime", members: Sequence[int]) -> Optional[int]:
-    """Newest checkpoint id that *every* member holds a snapshot for.
+def snapshot_at(runtime: "MpiRuntime", rank: int,
+                ckpt_id: int) -> Optional[CheckpointSnapshot]:
+    """``rank``'s snapshot of checkpoint ``ckpt_id`` (None if it holds none)."""
+    proto = runtime.ctx(rank).protocol
+    if proto is None:
+        return None
+    return next((s for s in proto.snapshot_history() if s.ckpt_id == ckpt_id),
+                None)
 
-    A failure can hit mid-wave, leaving some members with a newer snapshot
-    than others; the recovery line is the newest checkpoint all of them
-    completed dumping.  None means at least one member never checkpointed —
-    the group restarts from scratch.
+
+def _lost_work(ctx: Any, snap: Optional[CheckpointSnapshot], t_attempt: float) -> float:
+    """Work a rank loses by rolling back to ``snap`` (None = process start).
+
+    Counted from the snapshot's completion up to the instant the script
+    last executed: the attempt start, or earlier if the rank had already
+    halted (killed, or rolled back by a superseded attempt — no work was
+    done, hence none lost, between the halt and now) or finished.
     """
-    ids = common_checkpoint_ids(runtime, members)
-    return ids[0] if ids else None
+    since = snap.time if snap is not None else ctx.stats.started_at
+    horizon = t_attempt
+    if ctx.halted_at is not None and ctx.halted_at < horizon:
+        horizon = ctx.halted_at
+    if ctx.stats.finished_at is not None and ctx.stats.finished_at < horizon:
+        horizon = ctx.stats.finished_at
+    return max(horizon - since, 0.0)
+
+
+#: recovery line: each rolled-back rank → its snapshot at the line (None =
+#: process start), in rollback order
+Line = Dict[int, Optional[CheckpointSnapshot]]
+
+# A scope policy (one per LiveRecovery) provides:
+#   shrink                 the report's flag; a shrink replays nothing
+#   choose_line(report)    the Line, or None once it declared the failure
+#                          unsurvivable; also sets ``participants``, the ranks
+#                          that restart and relaunch
+#   roll_back(line)        roll the line back; each rank's resume op index
+#   restore_image(rank, marks)
+#                          restart stages 0-1 (a generator returning False
+#                          when the failure turned unsurvivable)
+#   program(rank)          the script to relaunch (None = the launch script)
 
 
 class LiveRecovery:
-    """In-flight group rollback + replay after an injected failure.
+    """The in-flight recovery engine: rollback, restore, replay, relaunch.
 
     Runs *inside* the application's simulation (unlike
-    :func:`simulate_restart`): the victim's group rolls back to its newest
-    common checkpoint, restores channel accounting and sender logs from the
-    snapshots' resume points, replays logged inter-group messages over the
-    live (contended) network, and re-creates the rank scripts at their resume
-    operation indices while out-of-group ranks keep executing.  Produces a
-    :class:`RecoveryReport` appended to ``runtime.recovery_reports``.
+    :func:`simulate_restart`).  After the detection delay a scope policy
+    picks the recovery line (which ranks roll back, and to which snapshot)
+    and the participants that restart; each rolled-back rank's lost work is
+    measured before it rolls back.  Each participant then runs the staged
+    pipeline — image restore, rebuild, R/S exchange and the replay of logged
+    messages over the live (contended) network — and all of them resume
+    together after the barrier.  Produces a :class:`RecoveryReport`
+    appended to ``runtime.recovery_reports``.
+
+    The policy is a group rollback by default (``placements``,
+    ``dead_nodes``, ``reboot_delay_s`` and ``spare_pool`` describe where the
+    victims restart); passing a partitionable ``workload`` makes it an
+    elastic shrink onto the survivors instead, which reserves no spare and
+    waits for no reboot.
     """
 
     def __init__(
@@ -461,6 +543,7 @@ class LiveRecovery:
         origin_time: Optional[float] = None,
         cause: str = "crash",
         spare_pool: Optional[Any] = None,
+        workload: Optional["Workload"] = None,
     ) -> None:
         if detection_delay_s < 0:
             raise ValueError("detection_delay_s must be non-negative")
@@ -496,16 +579,28 @@ class LiveRecovery:
         #: (the group was already dead/recovering in between), not from this
         #: attempt's start.  None = this attempt starts at the failure.
         self.origin_time = origin_time
+        self.scope = (_ElasticShrink(self, workload) if workload is not None
+                      else _GroupRollback(self))
         #: processes spawned by :meth:`run` (restart + replay coroutines);
         #: an abort interrupts them alongside the orchestration itself
         self._children: List["Event"] = []
-        #: telemetry capture (populated only when the runtime traces): the
-        #: in-progress report plus per-rank restart windows and stage marks,
-        #: so the span tree can be emitted from the *report* itself — the
-        #: exported trace matches the RecoveryReport by construction
-        self._report: Optional[RecoveryReport] = None
+        #: what the restart stages measured, folded into the report once
+        #: every rank resumed
+        self.migrated_from: Dict[int, int] = {}
+        self.restored_bytes: Dict[int, int] = {}
+        self.inplace_reboots = 0
+        self.bytes_shipped = 0
+        self._replayed: List[ReplayChannel] = []
+        #: log replay of a group rollback (a shrink replays nothing): the
+        #: join on incoming channels, and each rolled-back sender's channels
+        self._join: Optional[ReplayJoin] = None
+        self._outgoing: Dict[int, List[Tuple[int, List]]] = {}
+        #: the in-progress report plus per-rank restart windows and stage
+        #: marks, so the span tree can be emitted from the *report* itself —
+        #: the exported trace matches the RecoveryReport by construction
+        self.report: Optional[RecoveryReport] = None
         self._rank_windows: Dict[int, Tuple[float, float]] = {}
-        self._stage_marks: Dict[int, List[Tuple[str, float, float]]] = {}
+        self._stage_marks: Dict[int, Marks] = {}
         self._trace_emitted = False
 
     # -- orchestration --------------------------------------------------------
@@ -541,25 +636,34 @@ class LiveRecovery:
         self._emit_trace()
         return report
 
+    def declare_unsurvivable(self, reason: str) -> None:
+        """Declare the run failed: no surviving copy of a required image."""
+        report = self.report
+        report.unsurvivable = True
+        report.completed_at = self.runtime.sim.now
+        self.runtime.recovery_reports.append(report)
+        self.runtime.abort_application(reason)
+
     def _emit_trace(self, aborted: bool = False) -> None:
         """Retro-emit this recovery's span tree from its report (once).
 
         The root ``recovery`` span carries the report's measured window
-        (failure → resumption) and rollback ranks as attributes; children are
-        the detection delay, one ``rank_restart`` span per recovered rank
-        (with reboot/image_restore/rebuild/exchange/replay stage sub-spans
-        timed live), and the resume barrier.  Because everything is derived
-        from the :class:`RecoveryReport` and timestamps captured alongside
-        it, the exported tree cannot disagree with the report.
+        (failure → resumption, or → the abort instant for an aborted
+        attempt) and rollback ranks as attributes; children are the
+        detection delay (once it elapsed), one ``rank_restart`` span per
+        recovered rank (with reboot/image_restore/rebuild/exchange/replay
+        stage sub-spans timed live), and the resume barrier.  Because
+        everything is derived from the :class:`RecoveryReport` and
+        timestamps captured alongside it, the exported tree cannot disagree
+        with the report.
         """
         runtime = self.runtime
-        report = self._report
+        report = self.report
         if not runtime.telemetry_tracing or report is None or self._trace_emitted:
             return
         self._trace_emitted = True
         tracer = runtime.telemetry.tracer
-        now = runtime.sim.now
-        end = report.completed_at if report.completed_at is not None else now
+        end = report.completed_at if report.completed_at is not None else runtime.sim.now
         root = tracer.add(
             "recovery", start=report.failure_time, end=end,
             track="recovery", category="recovery",
@@ -569,6 +673,9 @@ class LiveRecovery:
             rollback_ranks=list(report.rollback_ranks),
             target_ckpt_id=report.target_ckpt_id,
             unsurvivable=report.unsurvivable,
+            shrink=report.shrink,
+            ranks_after=report.ranks_after,
+            units_migrated=report.units_migrated,
         )
         if report.detected_at is not None:
             tracer.add("detection", start=report.failure_time,
@@ -597,20 +704,19 @@ class LiveRecovery:
     def _run_body(self) -> Generator[Event, None, RecoveryReport]:
         runtime = self.runtime
         sim = runtime.sim
+        scope = self.scope
         #: this attempt's start (bounds lost-work horizons: work executed up
         #: to the instant each rank actually halted, never past this attempt)
         t_attempt = sim.now
         #: the original failure instant — recovery time is measured from here,
         #: so superseded attempts and queue waits count as recovery time
         t_fail = self.origin_time if self.origin_time is not None else t_attempt
-        report = RecoveryReport(
+        report = self.report = RecoveryReport(
             failure_time=t_fail, node=self.node, victims=self.victims,
             rollback_ranks=(), target_ckpt_id=None,
             superseded_attempts=self.superseded_attempts,
-            cause=self.cause,
+            cause=self.cause, shrink=scope.shrink,
         )
-        self._report = report
-        tracing = runtime.telemetry_tracing
 
         # mpirun notices the dead node only after the detection delay; the
         # victim's processes stopped at t_fail, everyone else keeps running.
@@ -618,17 +724,170 @@ class LiveRecovery:
             yield sim.timeout(self.detection_delay_s)
         report.detected_at = sim.now
 
-        rollback = sorted(rollback_scope(runtime, self.victims))
+        line = scope.choose_line(report)
+        if line is None:
+            return report  # unsurvivable
+        lost_work = {rank: _lost_work(runtime.ctx(rank), snap, t_attempt)
+                     for rank, snap in line.items()}
+        resume_index = scope.roll_back(line)
+        participants = scope.participants
+
+        alive: List[Tuple[int, int, List]] = []
+        if not scope.shrink:
+            alive = self._plan_replay(line)
+        prepared = [sim.process(self._rank_restart(rank), name=f"recover:{rank}")
+                    for rank in participants]
+        self._children.extend(prepared)
+        for src, dst, entries in alive:
+            self._children.append(sim.process(
+                self._alive_replay(src, dst, entries), name="replay"))
+
+        yield sim.all_of(prepared)
+        # 5. everyone resumes together
+        if self.barrier_cost_s > 0:
+            yield sim.timeout(self.barrier_cost_s)
+
+        resumed_at = sim.now
+        for rank in participants:
+            runtime.relaunch_rank(rank, resume_index[rank],
+                                  program=scope.program(rank))
+        for rank in line:
+            report.ranks.append(RankRecovery(
+                rank=rank,
+                lost_work_s=lost_work[rank],
+                resumed_at=resumed_at,
+                recovery_time_s=resumed_at - t_fail,
+                resume_op_index=resume_index[rank],
+                image_bytes=self.restored_bytes.get(rank, 0),
+                restart_node=runtime.ctx(rank).node_id,
+                migrated_from=self.migrated_from.get(rank),
+            ))
+        report.completed_at = resumed_at
+        report.channels = self._replayed
+        report.placements = [(rank, old, runtime.ctx(rank).node_id)
+                             for rank, old in sorted(self.migrated_from.items())]
+        report.same_switch_placements = sum(
+            1 for _rank, old, new in report.placements
+            if runtime.cluster.network.same_switch(old, new))
+        report.inplace_reboots = self.inplace_reboots
+        report.repartition_bytes_shipped = self.bytes_shipped
+        runtime.recovery_reports.append(report)
+        del self._children[:]
+        return report
+
+    def _plan_replay(self, line: Line) -> List[Tuple[int, int, List]]:
+        """Plan log replay into and out of the rolled-back ranks.
+
+        Runs after every rollback, so truncated logs and restored R counters
+        are in effect.  A channel needs replay when an endpoint rolled back:
+        data beyond the receiver's restored R was on connections the failure
+        reset (or was logged before the sender's own rollback) and will not
+        be re-sent live.  A rolled-back sender replays from its restart
+        pipeline; the channels of out-of-scope senders are returned — a
+        survivor serves them from its in-memory log in the background while
+        its own script keeps running.
+        """
+        runtime = self.runtime
+        plans: List[Tuple[int, int, List]] = []
+        for ctx in runtime.contexts:
+            log = getattr(ctx.protocol, "log", None)
+            if log is None:
+                continue
+            src = ctx.rank
+            for dst in log.destinations():
+                if src not in line and dst not in line:
+                    continue
+                received = runtime.ctx(dst).account.received_from(src)
+                entries = log.replay_plan(dst, received)
+                if entries:
+                    plans.append((src, dst, entries))
+        self._join = ReplayJoin(runtime.sim, line, (dst for _src, dst, _e in plans))
+        alive = []
+        for src, dst, entries in plans:
+            if src in line:
+                self._outgoing.setdefault(src, []).append((dst, entries))
+            else:
+                alive.append((src, dst, entries))
+        return alive
+
+    def _replay_done(self, src: int, dst: int, nbytes: int, count: int) -> None:
+        self._replayed.append(ReplayChannel(src=src, dst=dst, nbytes=nbytes,
+                                            n_messages=count))
+        self._join.landed(dst)
+
+    def _alive_replay(self, src: int, dst: int, entries: List):
+        try:
+            nbytes, count = yield from self.runtime.replay_channel(src, dst, entries, False)
+        except Interrupt:
+            return  # recovery superseded; accounting is epoch-protected
+        self._replay_done(src, dst, nbytes, count)
+
+    def _rank_restart(self, rank: int):
+        """One participant's restart pipeline (stages 0/1 from the policy)."""
+        runtime = self.runtime
+        sim = runtime.sim
+        marks = self._stage_marks.setdefault(rank, [])
+        entered_at = sim.now
+        try:
+            if not (yield from self.scope.restore_image(rank, marks)):
+                return  # unsurvivable: the run was aborted
+            # 2. rebuild MPI internal structures
+            yield from rebuild_stage(sim, self.config.restart_rebuild_s, marks)
+            join = self._join
+            if join is not None:
+                # 3. R/S exchange with peers outside the rollback set (the
+                # ranks the replay join covers)
+                out_peers = {p for p in runtime.ctx(rank).account.peers()
+                             if p not in join.remaining}
+                yield from exchange_stage(sim, runtime.cluster.network.spec,
+                                          len(out_peers), marks)
+                # 4. replay this rank's own logged messages (flushed log read
+                # back) ...
+                t0 = sim.now
+                for dst, entries in self._outgoing.get(rank, []):
+                    nbytes, count = yield from runtime.replay_channel(rank, dst, entries, True)
+                    self._replay_done(rank, dst, nbytes, count)
+                # ... and wait for everything owed to this rank
+                yield join.done[rank]
+                marks.append(("replay", t0, sim.now))
+            self._rank_windows[rank] = (entered_at, sim.now)
+        except Interrupt:
+            return  # recovery superseded; the new attempt re-rolls us
+
+
+# --------------------------------------------------------------------- scope policies
+class _GroupRollback:
+    """Scope policy: roll the victims' checkpoint groups back in place.
+
+    Chooses, per group, the newest common checkpoint whose images survive
+    on some storage tier (cancelling a spare placement that cannot reach
+    the only surviving copy), rolls exactly those ranks back to it, and
+    restores each image after relaunching the rank on its spare or waiting
+    out its node's reboot.  Out-of-scope ranks keep executing and serve the
+    replay the rolled-back ranks are owed.
+    """
+
+    shrink = False
+
+    def __init__(self, rec: "LiveRecovery") -> None:
+        self.rec = rec
+        self.line: Line = {}
+        self.participants: Sequence[int] = ()
+
+    def choose_line(self, report: RecoveryReport) -> Optional[Line]:
+        rec = self.rec
+        runtime = rec.runtime
+        rollback = sorted(rollback_scope(runtime, rec.victims))
         report.rollback_ranks = tuple(rollback)
 
         # Where each rank will restart, and which dead nodes come back in
         # place — the storage-tier selection needs both.
         hierarchy = runtime.cluster.hierarchy
         final_node: Dict[int, int] = {
-            rank: self.placements.get(rank, runtime.ctx(rank).node_id)
+            rank: rec.placements.get(rank, runtime.ctx(rank).node_id)
             for rank in rollback
         }
-        assume_rebooted = set(self.dead_nodes)
+        assume_rebooted = set(rec.dead_nodes)
 
         # Partition the rollback set into its checkpoint groups and pick each
         # group's recovery line (they are usually one and the same group).
@@ -644,7 +903,7 @@ class LiveRecovery:
             members = tuple(sorted(getattr(proto, "group_members", None)
                                    or range(runtime.n_ranks)))
             groups.setdefault(members, []).append(rank)
-        target_by_rank: Dict[int, Optional[CheckpointSnapshot]] = {}
+        target_by_rank: Line = {}
         target_ids: List[int] = []
         scope_set = set(rollback)
 
@@ -660,9 +919,7 @@ class LiveRecovery:
             older target — this check turns that into an explicit
             unsurvivable verdict instead of a blocked receive.
             """
-            proto = runtime.ctx(rank).protocol
-            snap = next((s for s in proto.snapshot_history()
-                         if s.ckpt_id == cid), None)
+            snap = snapshot_at(runtime, rank, cid)
             resume = snap.resume if snap is not None else None
             if resume is None:
                 return True
@@ -697,7 +954,7 @@ class LiveRecovery:
             for rank in ranks:
                 plan = hierarchy.restore_plan(
                     rank, cid, final_node[rank], assume_rebooted)
-                if plan is None and rank in self.placements:
+                if plan is None and rank in rec.placements:
                     home = runtime.ctx(rank).node_id
                     plan = hierarchy.restore_plan(
                         rank, cid, home, assume_rebooted | {home})
@@ -721,242 +978,97 @@ class LiveRecovery:
                     for rank in cancels:
                         # The spare cannot reach the image; restart in place
                         # on the (rebooting) dead node and return the spare.
-                        spare = self.placements.pop(rank)
+                        spare = rec.placements.pop(rank)
                         home = runtime.ctx(rank).node_id
-                        self.dead_nodes.add(home)
+                        rec.dead_nodes.add(home)
                         assume_rebooted.add(home)
                         final_node[rank] = home
-                        if self.spare_pool is not None:
-                            self.spare_pool.release(spare, rank)
+                        if rec.spare_pool is not None:
+                            rec.spare_pool.release(spare, rank)
                     break
                 if target_id is None and candidates:
                     # Checkpoints exist but no retrievable set survives: a
                     # real restart has nothing to restore these ranks from.
-                    reason = (f"no surviving copy of checkpoint images for "
-                              f"ranks {sorted(ranks)[:8]} "
-                              f"({self.cause} at t={t_fail:.3f})")
-                    report.unsurvivable = True
-                    report.completed_at = sim.now
-                    runtime.recovery_reports.append(report)
-                    runtime.abort_application(reason)
-                    return report
+                    rec.declare_unsurvivable(
+                        f"no surviving copy of checkpoint images for "
+                        f"ranks {sorted(ranks)[:8]} "
+                        f"({rec.cause} at t={report.failure_time:.3f})")
+                    return None
             if target_id is not None:
                 target_ids.append(target_id)
             for rank in ranks:
-                snap = None
-                if target_id is not None:
-                    proto = runtime.ctx(rank).protocol
-                    snap = next(s for s in proto.snapshot_history()
-                                if s.ckpt_id == target_id)
-                target_by_rank[rank] = snap
+                target_by_rank[rank] = (snapshot_at(runtime, rank, target_id)
+                                        if target_id is not None else None)
         report.target_ckpt_id = max(target_ids) if target_ids else None
+        self.participants = rollback
+        self.line = {rank: target_by_rank[rank] for rank in rollback}
+        return self.line
 
-        # Roll every member back *now*: scripts interrupted, accounting and
-        # sender logs restored, inboxes replaced (stale in-flight messages
-        # die by epoch mismatch at delivery).
-        resume_index: Dict[int, int] = {}
-        lost_work: Dict[int, float] = {}
-        for rank in rollback:
-            ctx = runtime.ctx(rank)
-            snap = target_by_rank[rank]
-            since = snap.time if snap is not None else ctx.stats.started_at
-            horizon = t_attempt
-            if ctx.halted_at is not None and ctx.halted_at < horizon:
-                # the script stopped before this failure (killed or rolled
-                # back by a superseded recovery attempt): no work was done
-                # (hence none lost) between the halt and now
-                horizon = ctx.halted_at
-            if ctx.stats.finished_at is not None and ctx.stats.finished_at < horizon:
-                horizon = ctx.stats.finished_at  # it had already finished
-            lost_work[rank] = max(horizon - since, 0.0)
-            resume_index[rank] = runtime.rollback_rank(rank, snap)
+    def roll_back(self, line: Line) -> Dict[int, int]:
+        # Scripts interrupted, accounting and sender logs restored to the
+        # line, inboxes replaced (stale in-flight messages die by epoch
+        # mismatch at delivery).
+        runtime = self.rec.runtime
+        return {rank: runtime.rollback_rank(rank, snap)
+                for rank, snap in line.items()}
 
-        # Replay plans, computed after every rollback so truncated logs and
-        # restored R counters are in effect.  A channel needs replay when an
-        # endpoint rolled back: data beyond the receiver's restored R was on
-        # connections the failure reset (or was logged before the sender's
-        # own rollback) and will not be re-sent live.
-        rollback_set = set(rollback)
-        plans: List[Tuple[int, int, List]] = []
-        for ctx in runtime.contexts:
-            log = getattr(ctx.protocol, "log", None)
-            if log is None:
-                continue
-            src = ctx.rank
-            for dst in log.destinations():
-                if src not in rollback_set and dst not in rollback_set:
-                    continue
-                received = runtime.ctx(dst).account.received_from(src)
-                entries = log.replay_plan(dst, received)
-                if entries:
-                    plans.append((src, dst, entries))
+    def program(self, rank: int) -> None:
+        return None  # the launch-time script, resumed at its rollback point
 
-        out_by_src: Dict[int, List[Tuple[int, List]]] = {}
-        alive_plans: List[Tuple[int, int, List]] = []
-        incoming_remaining: Dict[int, int] = {r: 0 for r in rollback}
-        for src, dst, entries in plans:
-            if src in rollback_set:
-                out_by_src.setdefault(src, []).append((dst, entries))
+    def restore_image(self, rank: int, marks: Marks) -> Generator[Event, None, bool]:
+        rec = self.rec
+        runtime = rec.runtime
+        sim = runtime.sim
+        hierarchy = runtime.cluster.hierarchy
+        ctx = runtime.ctx(rank)
+        snap = self.line[rank]
+        new_node = rec.placements.get(rank)
+        t0 = sim.now
+        if new_node is not None and new_node != ctx.node_id:
+            # 0. relaunch on a spare node: every later step (image fetch,
+            # replay, application traffic) uses the spare's NIC
+            rec.migrated_from[rank] = runtime.migrate_rank(rank, new_node)
+        elif ctx.node_id in rec.dead_nodes:
+            # in-place restart on the crashed node: wait out its reboot
+            rec.inplace_reboots += 1
+            if rec.reboot_delay_s > 0:
+                yield sim.timeout(rec.reboot_delay_s)
+            runtime.cluster.nodes[ctx.node_id].mark_rebooted()
+            marks.append(("reboot", t0, sim.now))
+        # 1. re-create the process and restore its image
+        image_bytes = snap.image_bytes if snap is not None else 0
+        t0 = sim.now
+        if image_bytes > 0:
+            if hierarchy.legacy:
+                old = rec.migrated_from.get(rank)
+                if old is not None and runtime.cluster.spec.checkpoint_storage != "remote":
+                    # legacy local storage: the image sits on the dead node's
+                    # (surviving) disk — read it there and ship it to the
+                    # spare over the network
+                    yield from hierarchy.read(old, image_bytes)
+                    yield from runtime.cluster.network.transfer(
+                        old, ctx.node_id, image_bytes)
+                else:
+                    # local disk in place, or checkpoint servers that stream
+                    # the image straight to wherever the rank is
+                    yield from hierarchy.read(ctx.node_id, image_bytes)
             else:
-                alive_plans.append((src, dst, entries))
-            if dst in rollback_set:
-                incoming_remaining[dst] += 1
-        incoming_done: Dict[int, Event] = {
-            r: Event(sim, name="replayed") for r in rollback
-        }
-        for rank in rollback:
-            if incoming_remaining[rank] == 0:
-                incoming_done[rank].succeed(0)
-
-        measured: List[ReplayChannel] = []
-
-        def channel_done(src: int, dst: int, nbytes: int, count: int) -> None:
-            measured.append(ReplayChannel(src=src, dst=dst, nbytes=nbytes,
-                                          n_messages=count))
-            if dst in rollback_set:
-                incoming_remaining[dst] -= 1
-                if incoming_remaining[dst] == 0 and not incoming_done[dst].triggered:
-                    incoming_done[dst].succeed(sim.now)
-
-        rtt = 2 * (runtime.cluster.network.spec.latency_s
-                   + runtime.cluster.network.spec.per_message_overhead_s)
-
-        remote_storage = runtime.cluster.spec.checkpoint_storage == "remote"
-        migrated_from: Dict[int, int] = {}
-        rebooted: List[int] = []
-
-        def alive_replay(src: int, dst: int, entries: List):
-            # An out-of-group survivor serves replay from its in-memory log
-            # in the background while its own script keeps running.
-            try:
-                nbytes, count = yield from runtime.replay_channel(src, dst, entries, False)
-            except Interrupt:
-                return  # recovery superseded; accounting is epoch-protected
-            channel_done(src, dst, nbytes, count)
-
-        def rank_restart(rank: int):
-            # stage marks feed the recovery span tree; None when not tracing
-            marks = self._stage_marks.setdefault(rank, []) if tracing else None
-            entered_at = sim.now
-            try:
-                ctx = runtime.ctx(rank)
-                snap = target_by_rank[rank]
-                new_node = self.placements.get(rank)
-                t0 = sim.now
-                if new_node is not None and new_node != ctx.node_id:
-                    # 0. relaunch on a spare node: every later step (image
-                    # fetch, replay, application traffic) uses the spare's NIC
-                    migrated_from[rank] = runtime.migrate_rank(rank, new_node)
-                elif ctx.node_id in self.dead_nodes:
-                    # in-place restart on the crashed node: wait out its reboot
-                    rebooted.append(rank)
-                    if self.reboot_delay_s > 0:
-                        yield sim.timeout(self.reboot_delay_s)
-                    runtime.cluster.nodes[ctx.node_id].mark_rebooted()
-                    if marks is not None:
-                        marks.append(("reboot", t0, sim.now))
-                # 1. re-create the process and restore its image
-                image_bytes = snap.image_bytes if snap is not None else 0
-                t0 = sim.now
-                if image_bytes > 0:
-                    if hierarchy.legacy:
-                        old = migrated_from.get(rank)
-                        if old is not None and not remote_storage:
-                            # legacy local storage: the image sits on the dead
-                            # node's (surviving) disk — read it there and ship
-                            # it to the spare over the network
-                            yield from hierarchy.read(old, image_bytes)
-                            yield from runtime.cluster.network.transfer(
-                                old, ctx.node_id, image_bytes)
-                        else:
-                            # local disk in place, or checkpoint servers that
-                            # stream the image straight to wherever the rank is
-                            yield from hierarchy.read(ctx.node_id, image_bytes)
-                    else:
-                        # tier selection: cheapest copy that *still* survives
-                        # (re-resolved here — a correlated failure may have
-                        # taken the planned source since the target was picked;
-                        # an in-place node has rebooted by now)
-                        plan = hierarchy.restore_plan(
-                            rank, snap.ckpt_id, ctx.node_id)
-                        if plan is None:
-                            report.unsurvivable = True
-                            report.completed_at = sim.now
-                            runtime.recovery_reports.append(report)
-                            runtime.abort_application(
-                                f"image of rank {rank} ckpt {snap.ckpt_id} lost "
-                                f"mid-recovery ({self.cause})")
-                            return
-                        report.restore_tiers[rank] = plan.level
-                        yield from hierarchy.perform_restore(
-                            plan, ctx.node_id, image_bytes)
-                    yield sim.timeout(self.blcr.restore_exec_s)
-                if marks is not None:
-                    marks.append(("image_restore", t0, sim.now))
-                # 2. rebuild MPI internal structures
-                t0 = sim.now
-                yield sim.timeout(self.config.restart_rebuild_s)
-                if marks is not None:
-                    marks.append(("rebuild", t0, sim.now))
-                # 3. R/S exchange with peers outside the rollback set
-                t0 = sim.now
-                out_peers = {p for p in ctx.account.peers() if p not in rollback_set}
-                if out_peers:
-                    yield sim.timeout(len(out_peers) * rtt)
-                if marks is not None:
-                    marks.append(("exchange", t0, sim.now))
-                # 4. replay this rank's own logged messages (flushed log read back)
-                t0 = sim.now
-                for dst, entries in out_by_src.get(rank, []):
-                    nbytes, count = yield from runtime.replay_channel(rank, dst, entries, True)
-                    channel_done(rank, dst, nbytes, count)
-                # ... and wait for everything owed to this rank
-                yield incoming_done[rank]
-                if marks is not None:
-                    marks.append(("replay", t0, sim.now))
-                    self._rank_windows[rank] = (entered_at, sim.now)
-            except Interrupt:
-                return  # recovery superseded; the new attempt re-rolls us
-
-        prepared = [sim.process(rank_restart(rank), name=f"recover:{rank}")
-                    for rank in rollback]
-        self._children.extend(prepared)
-        for src, dst, entries in alive_plans:
-            self._children.append(
-                sim.process(alive_replay(src, dst, entries), name="replay"))
-
-        yield sim.all_of(prepared)
-        # 5. group members resume together
-        if self.barrier_cost_s > 0:
-            yield sim.timeout(self.barrier_cost_s)
-
-        resumed_at = sim.now
-        network = runtime.cluster.network
-        for rank in rollback:
-            snap = target_by_rank[rank]
-            ctx = runtime.ctx(rank)
-            runtime.relaunch_rank(rank, resume_index[rank])
-            report.ranks.append(RankRecovery(
-                rank=rank,
-                lost_work_s=lost_work[rank],
-                resumed_at=resumed_at,
-                recovery_time_s=resumed_at - t_fail,
-                resume_op_index=resume_index[rank],
-                image_bytes=snap.image_bytes if snap is not None else 0,
-                restart_node=ctx.node_id,
-                migrated_from=migrated_from.get(rank),
-            ))
-        report.completed_at = resumed_at
-        report.channels = measured
-        report.placements = [(rank, old, runtime.ctx(rank).node_id)
-                             for rank, old in sorted(migrated_from.items())]
-        report.same_switch_placements = sum(
-            1 for _rank, old, new in report.placements
-            if network.same_switch(old, new))
-        report.inplace_reboots = len(rebooted)
-        runtime.recovery_reports.append(report)
-        del self._children[:]
-        return report
+                # tier selection: cheapest copy that *still* survives
+                # (re-resolved here — a correlated failure may have taken the
+                # planned source since the target was picked; an in-place
+                # node has rebooted by now)
+                plan = hierarchy.restore_plan(rank, snap.ckpt_id, ctx.node_id)
+                if plan is None:
+                    rec.declare_unsurvivable(
+                        f"image of rank {rank} ckpt {snap.ckpt_id} lost "
+                        f"mid-recovery ({rec.cause})")
+                    return False
+                rec.report.restore_tiers[rank] = plan.level
+                yield from hierarchy.perform_restore(plan, ctx.node_id, image_bytes)
+            rec.restored_bytes[rank] = image_bytes
+            yield sim.timeout(rec.blcr.restore_exec_s)
+        marks.append(("image_restore", t0, sim.now))
+        return True
 
 
 # --------------------------------------------------------------------- elastic restart
@@ -998,13 +1110,6 @@ def plan_repartition(
     owners = sorted(part.active_ranks())
     candidates = common_checkpoint_ids(runtime, owners) if owners else []
 
-    def snapshot_at(rank: int, cid: int) -> Optional[CheckpointSnapshot]:
-        proto = runtime.ctx(rank).protocol
-        if proto is None:
-            return None
-        return next((s for s in proto.snapshot_history() if s.ckpt_id == cid),
-                    None)
-
     def feasible(cid: int) -> bool:
         for rank in owners:
             if rank in dead:
@@ -1032,7 +1137,7 @@ def plan_repartition(
                 record = hierarchy.catalog.get((old_owner, cid))
                 state = record.domain_state if record is not None else None
             else:
-                snap = snapshot_at(old_owner, cid)
+                snap = snapshot_at(runtime, old_owner, cid)
                 state = (snap.resume.domain_state
                          if snap is not None and snap.resume is not None
                          else None)
@@ -1053,236 +1158,116 @@ def plan_repartition(
     )
 
 
-class ElasticRestart:
-    """Shrink the job onto the surviving ranks when spares are exhausted.
+class _ElasticShrink:
+    """Scope policy: shrink the job onto the surviving ranks.
 
-    The alternative to :class:`LiveRecovery`'s wait-for-reboot path: the
-    :class:`~repro.recovery.manager.RecoveryManager` diverts here (elastic
-    mode) when a victim cannot be replaced.  The whole application resets to
-    a *globally consistent* line: every rank rolls back to process start
-    (channel accounting zeroed on both sides — exactly-once delivery is
-    preserved by construction), the dead ranks' work units are redistributed
-    over the survivors (:func:`plan_repartition`), the dead ranks' newest
-    retrievable checkpoint images are shipped to their adopters over the
-    live network, and the survivors relaunch with *repartitioned* scripts
-    that resume at the recovery line's common domain step.  Dead ranks keep
+    The whole application resets to a *globally consistent* line: every
+    rank rolls back to process start (channel accounting zeroed on both
+    sides, so exactly-once delivery holds by construction), the dead ranks'
+    work units are redistributed over the survivors
+    (:func:`plan_repartition`), each survivor restores its own image and the
+    dead ranks' newest retrievable images are shipped to their adopters over
+    the live network, and the survivors relaunch with *repartitioned*
+    scripts that resume at the line's common domain step.  Dead ranks keep
     their rank ids but own nothing and are marked finished — no rank
-    renumbering, no further traffic touches them.
+    renumbering, no further traffic touches them.  A shrink restarts on a
+    clean communicator, so there is nothing to exchange or replay.
     """
 
-    def __init__(
-        self,
-        runtime: "MpiRuntime",
-        victims: Sequence[int],
-        workload: "Workload",
-        detection_delay_s: float = 0.25,
-        barrier_cost_s: float = 0.02,
-        blcr: Optional[BlcrModel] = None,
-        config: Optional[ProtocolConfig] = None,
-        node: int = -1,
-        superseded_attempts: int = 0,
-        origin_time: Optional[float] = None,
-        cause: str = "crash",
-    ) -> None:
-        if detection_delay_s < 0:
-            raise ValueError("detection_delay_s must be non-negative")
-        if barrier_cost_s < 0:
-            raise ValueError("barrier_cost_s must be non-negative")
-        self.runtime = runtime
-        self.victims = tuple(sorted(victims))
-        if not self.victims:
-            raise ValueError("victims must not be empty")
+    shrink = True
+
+    def __init__(self, rec: "LiveRecovery", workload: "Workload") -> None:
+        self.rec = rec
         self.workload = workload
-        self.detection_delay_s = detection_delay_s
-        self.barrier_cost_s = barrier_cost_s
-        family = runtime.protocol_family
-        self.blcr = blcr if blcr is not None else getattr(family, "blcr", None) or BlcrModel()
-        self.config = config if config is not None else getattr(family, "config", None) or ProtocolConfig()
-        self.node = node
-        self.superseded_attempts = superseded_attempts
-        self.origin_time = origin_time
-        self.cause = cause
-        #: manager-API compatibility: an elastic restart never reserves spares
-        self.placements: Dict[int, int] = {}
-        self._children: List[Event] = []
+        self.plan: Optional[RepartitionPlan] = None
+        self.participants: Sequence[int] = ()
+        self.ships_to: Dict[int, List[int]] = {}
 
-    def abort(self) -> None:
-        """Cancel this in-flight shrink (a newer failure superseded it)."""
-        for child in self._children:
-            if child.is_alive:
-                child.interrupt("recovery-superseded")
-        del self._children[:]
-
-    def run(self) -> Generator[Event, None, Optional[RecoveryReport]]:
-        """The shrink-restart coroutine (registered as a process by the manager)."""
+    def choose_line(self, report: RecoveryReport) -> Optional[Line]:
+        rec = self.rec
+        runtime = rec.runtime
         try:
-            report = yield from self._run_body()
-        except Interrupt:
-            self.abort()
-            return None
-        return report
-
-    def _run_body(self) -> Generator[Event, None, RecoveryReport]:
-        runtime = self.runtime
-        sim = runtime.sim
-        wl = self.workload
-        t_attempt = sim.now
-        t_fail = self.origin_time if self.origin_time is not None else t_attempt
-        report = RecoveryReport(
-            failure_time=t_fail, node=self.node, victims=self.victims,
-            rollback_ranks=(), target_ckpt_id=None,
-            superseded_attempts=self.superseded_attempts,
-            cause=self.cause, shrink=True,
-        )
-
-        if self.detection_delay_s > 0:
-            yield sim.timeout(self.detection_delay_s)
-        report.detected_at = sim.now
-
-        try:
-            plan = plan_repartition(runtime, wl, self.victims)
+            plan = plan_repartition(runtime, self.workload, rec.victims)
         except ValueError:
-            report.unsurvivable = True
-            report.completed_at = sim.now
-            runtime.recovery_reports.append(report)
-            runtime.abort_application(
+            rec.declare_unsurvivable(
                 f"elastic restart impossible: every rank is dead "
-                f"({self.cause} at t={t_fail:.3f})")
-            return report
-
-        hierarchy = runtime.cluster.hierarchy
-        all_ranks = range(runtime.n_ranks)
+                f"({rec.cause} at t={report.failure_time:.3f})")
+            return None
+        self.plan = plan
+        self.participants = plan.new_partition.active_ranks()
         cid = plan.target_ckpt_id
-        report.rollback_ranks = tuple(all_ranks)
+        report.rollback_ranks = tuple(range(runtime.n_ranks))
         report.target_ckpt_id = cid
         report.ranks_after = plan.ranks_after
         report.units_migrated = plan.units_migrated
+        for src, dst in plan.image_ships():
+            self.ships_to.setdefault(dst, []).append(src)
+        # Lost work is measured against the snapshot each rank's state comes
+        # from, read *before* the global reset clears the histories.
+        return {rank: snapshot_at(runtime, rank, cid) if cid is not None else None
+                for rank in range(runtime.n_ranks)}
 
-        # Lost work is measured against the recovery line each rank's state
-        # actually comes from (its snapshot at the target checkpoint), read
-        # *before* the global rollback clears the histories.
-        line_time: Dict[int, float] = {}
-        if cid is not None:
-            for rank in all_ranks:
-                proto = runtime.ctx(rank).protocol
-                snap = (next((s for s in proto.snapshot_history()
-                              if s.ckpt_id == cid), None)
-                        if proto is not None else None)
-                if snap is not None:
-                    line_time[rank] = snap.time
-
+    def roll_back(self, line: Line) -> Dict[int, int]:
         # Global reset: every rank (survivor, victim, already-retired) rolls
-        # back to process start.  Channel accounting zeroes on both sides and
-        # every in-flight message dies by rollback-epoch mismatch, so the
-        # relaunched repartitioned scripts see exactly-once delivery on a
-        # clean communicator.
-        lost_work: Dict[int, float] = {}
-        for rank in all_ranks:
-            ctx = runtime.ctx(rank)
-            since = line_time.get(rank, ctx.stats.started_at)
-            horizon = t_attempt
-            if ctx.halted_at is not None and ctx.halted_at < horizon:
-                horizon = ctx.halted_at
-            if ctx.stats.finished_at is not None and ctx.stats.finished_at < horizon:
-                horizon = ctx.stats.finished_at
-            lost_work[rank] = max(horizon - since, 0.0)
-            runtime.rollback_rank(rank, None)
-
+        # back to process start.  Every in-flight message dies by
+        # rollback-epoch mismatch, so the relaunched repartitioned scripts
+        # see exactly-once delivery on a clean communicator.
+        runtime = self.rec.runtime
+        sim = runtime.sim
+        resume = {rank: runtime.rollback_rank(rank, None) for rank in line}
         # Retire the dead ranks: they keep their ids, own nothing under the
         # new partition, and count as finished from here on (the coordinator
         # skips finished ranks, so no further checkpoint requests reach them).
-        for rank in plan.failed_ranks:
+        for rank in self.plan.failed_ranks:
             ctx = runtime.ctx(rank)
             ctx.in_recovery = False
             ctx.finished = True
             ctx.stats.finished_at = sim.now
             if runtime.sampler is not None:
                 runtime.sampler.note_phase(rank, "finished", sim.now)
-
         # Install the new layout: derived programs and memory re-derive from
         # the repartitioned domain, resuming at the recovery line's step.
-        wl.set_partition(plan.new_partition, start_step=plan.resume_step)
-        for rank in all_ranks:
-            runtime.ctx(rank).memory_bytes = wl.memory_bytes(rank)
+        self.workload.set_partition(self.plan.new_partition,
+                                    start_step=self.plan.resume_step)
+        for rank in line:
+            runtime.ctx(rank).memory_bytes = self.workload.memory_bytes(rank)
+        return resume
 
-        survivors = plan.new_partition.active_ranks()
-        shipped = [0]
-        restored_bytes: Dict[int, int] = {}
-        ships_to: Dict[int, List[int]] = {}
-        for src, dst in plan.image_ships():
-            ships_to.setdefault(dst, []).append(src)
+    def program(self, rank: int) -> Any:
+        return self.workload.program(rank)
 
-        def rank_restart(rank: int):
-            try:
-                ctx = runtime.ctx(rank)
-                if cid is not None:
-                    # 1. restore this survivor's own image from its cheapest
-                    # surviving tier
-                    own = hierarchy.catalog.get((rank, cid))
-                    if own is not None:
-                        rplan = hierarchy.restore_plan(rank, cid, ctx.node_id)
-                        if rplan is not None:
-                            report.restore_tiers[rank] = rplan.level
-                            yield from hierarchy.perform_restore(
-                                rplan, ctx.node_id, own.nbytes)
-                            restored_bytes[rank] = own.nbytes
-                    # 2. adopt: ship each dead donor's newest image here over
-                    # the live network (the adopted units' progress)
-                    for src in ships_to.get(rank, ()):
-                        record = hierarchy.catalog.get((src, cid))
-                        if record is None:
-                            continue
-                        splan = hierarchy.restore_plan(src, cid, ctx.node_id)
-                        if splan is None:
-                            report.unsurvivable = True
-                            report.completed_at = sim.now
-                            runtime.recovery_reports.append(report)
-                            runtime.abort_application(
-                                f"image of dead rank {src} ckpt {cid} lost "
-                                f"mid-shrink ({self.cause})")
-                            return
-                        yield from hierarchy.perform_restore(
-                            splan, ctx.node_id, record.nbytes)
-                        shipped[0] += record.nbytes
-                    yield sim.timeout(self.blcr.restore_exec_s)
-                # 3. rebuild MPI structures for the shrunk communicator
-                yield sim.timeout(self.config.restart_rebuild_s)
-            except Interrupt:
-                return  # superseded; the new attempt re-rolls everything
-
-        procs = [sim.process(rank_restart(rank), name=f"shrink:{rank}")
-                 for rank in survivors]
-        self._children.extend(procs)
-        yield sim.all_of(procs)
-        if runtime.aborted is not None:
-            return report
-        if self.barrier_cost_s > 0:
-            yield sim.timeout(self.barrier_cost_s)
-
-        resumed_at = sim.now
-        report.repartition_bytes_shipped = shipped[0]
-        for rank in survivors:
-            runtime.relaunch_rank(rank, 0, program=wl.program(rank))
-        for rank in all_ranks:
-            report.ranks.append(RankRecovery(
-                rank=rank,
-                lost_work_s=lost_work[rank],
-                resumed_at=resumed_at,
-                recovery_time_s=resumed_at - t_fail,
-                resume_op_index=0,
-                image_bytes=restored_bytes.get(rank, 0),
-                restart_node=runtime.ctx(rank).node_id,
-            ))
-        report.completed_at = resumed_at
-        if runtime.telemetry_tracing:
-            runtime.telemetry.tracer.add(
-                "recovery", start=t_fail, end=resumed_at,
-                track="recovery", category="recovery",
-                node=report.node, cause=report.cause, shrink=True,
-                victims=list(report.victims),
-                ranks_after=report.ranks_after,
-                units_migrated=report.units_migrated,
-                target_ckpt_id=cid)
-        runtime.recovery_reports.append(report)
-        del self._children[:]
-        return report
+    def restore_image(self, rank: int, marks: Marks) -> Generator[Event, None, bool]:
+        rec = self.rec
+        runtime = rec.runtime
+        sim = runtime.sim
+        hierarchy = runtime.cluster.hierarchy
+        ctx = runtime.ctx(rank)
+        cid = self.plan.target_ckpt_id
+        t0 = sim.now
+        if cid is not None:
+            # 1. restore this survivor's own image from its cheapest
+            # surviving tier
+            own = hierarchy.catalog.get((rank, cid))
+            if own is not None:
+                rplan = hierarchy.restore_plan(rank, cid, ctx.node_id)
+                if rplan is not None:
+                    rec.report.restore_tiers[rank] = rplan.level
+                    yield from hierarchy.perform_restore(rplan, ctx.node_id, own.nbytes)
+                    rec.restored_bytes[rank] = own.nbytes
+            # ... and adopt: ship each dead donor's newest image here over
+            # the live network (the adopted units' progress)
+            for src in self.ships_to.get(rank, ()):
+                record = hierarchy.catalog.get((src, cid))
+                if record is None:
+                    continue
+                splan = hierarchy.restore_plan(src, cid, ctx.node_id)
+                if splan is None:
+                    rec.declare_unsurvivable(
+                        f"image of dead rank {src} ckpt {cid} lost "
+                        f"mid-shrink ({rec.cause})")
+                    return False
+                yield from hierarchy.perform_restore(splan, ctx.node_id, record.nbytes)
+                rec.bytes_shipped += record.nbytes
+            yield sim.timeout(rec.blcr.restore_exec_s)
+        marks.append(("image_restore", t0, sim.now))
+        return True

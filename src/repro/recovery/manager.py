@@ -96,10 +96,10 @@ class RecoveryManager:
     elastic / workload:
         With ``elastic=True`` and a partitionable workload attached, a
         failure whose victims cannot all be replaced from the spare pool is
-        handled by :class:`~repro.core.restart.ElasticRestart`: the job
-        *shrinks* onto the survivors (dead ranks' work units redistributed,
-        their images shipped to the adopters) instead of waiting out an
-        in-place node reboot.
+        handled by :class:`~repro.core.restart.LiveRecovery`'s elastic
+        shrink policy: the job *shrinks* onto the survivors (dead ranks'
+        work units redistributed, their images shipped to the adopters)
+        instead of waiting out an in-place node reboot.
     """
 
     def __init__(
@@ -236,7 +236,7 @@ class RecoveryManager:
     # -- recovery lifecycle ----------------------------------------------------
     def _start(self, event: "FailureEvent", victims: Set[int],
                scope: Set[int], attempts: int, origin_time: float) -> None:
-        from repro.core.restart import ElasticRestart, LiveRecovery
+        from repro.core.restart import LiveRecovery
 
         runtime = self.runtime
         placements: Dict[int, int] = {}
@@ -251,7 +251,8 @@ class RecoveryManager:
                 placements[rank] = spare
             else:
                 dead_nodes.add(ctx.node_id)
-        if self.elastic and self.workload is not None and dead_nodes:
+        shrink = self.elastic and self.workload is not None and bool(dead_nodes)
+        if shrink:
             # Spares exhausted for at least one victim: shrink the job onto
             # the survivors instead of waiting out a node reboot.  Spares the
             # loop above did reserve go straight back to the pool (the shrink
@@ -261,31 +262,23 @@ class RecoveryManager:
             if self.spare_pool is not None:
                 for rank, node in placements.items():
                     self.spare_pool.release(node, rank)
+            placements, dead_nodes = {}, set()
             self.shrink_restarts += 1
             scope = set(range(runtime.n_ranks))
-            recovery = ElasticRestart(
-                runtime, sorted(victims), self.workload,
-                detection_delay_s=self.detection_delay_s,
-                barrier_cost_s=self.barrier_cost_s,
-                node=event.node,
-                superseded_attempts=attempts,
-                origin_time=origin_time,
-                cause=event.cause,
-            )
-        else:
-            recovery = LiveRecovery(
-                runtime, sorted(victims),
-                detection_delay_s=self.detection_delay_s,
-                barrier_cost_s=self.barrier_cost_s,
-                node=event.node,
-                placements=placements,
-                dead_nodes=dead_nodes,
-                reboot_delay_s=self.reboot_delay_s,
-                superseded_attempts=attempts,
-                origin_time=origin_time,
-                cause=event.cause,
-                spare_pool=self.spare_pool,
-            )
+        recovery = LiveRecovery(
+            runtime, sorted(victims),
+            detection_delay_s=self.detection_delay_s,
+            barrier_cost_s=self.barrier_cost_s,
+            node=event.node,
+            placements=placements,
+            dead_nodes=dead_nodes,
+            reboot_delay_s=self.reboot_delay_s,
+            superseded_attempts=attempts,
+            origin_time=origin_time,
+            cause=event.cause,
+            spare_pool=self.spare_pool,
+            workload=self.workload if shrink else None,
+        )
         proc = runtime.sim.process(recovery.run(), name="live-recovery")
         runtime._recovery_inflight.append(proc)
         active = _Active(event, victims, scope, recovery, proc, attempts,

@@ -9,7 +9,6 @@ from repro.storage.hierarchy import (
     ImageRecord,
     RestorePlan,
     StorageHierarchy,
-    UnsurvivableFailure,
 )
 from repro.storage.policy import (
     LEVELS,
@@ -30,7 +29,6 @@ __all__ = [
     "RestorePlan",
     "StorageHierarchy",
     "StoragePolicy",
-    "UnsurvivableFailure",
     "full_hierarchy",
     "local_only",
     "partner_replicated",

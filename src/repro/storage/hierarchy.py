@@ -106,10 +106,6 @@ class RestorePlan:
     source_node: Optional[int]
 
 
-class UnsurvivableFailure(RuntimeError):
-    """No surviving copy of a required checkpoint image exists anywhere."""
-
-
 class StorageHierarchy:
     """Owns checkpoint-image placement across L1/L2/L3 and restart reads.
 

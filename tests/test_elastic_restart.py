@@ -24,6 +24,7 @@ from repro.core.coordinator import CheckpointCoordinator
 from repro.experiments.config import FailureSpec, ScenarioConfig
 from repro.experiments.runner import build_family, build_workload, run_scenario
 from repro.mpi.runtime import MpiRuntime
+from repro.obs import Telemetry
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 
@@ -33,7 +34,7 @@ SHRINK_OPTS = {"iterations": 60, "memory_bytes": 4 * 1024 * 1024}
 
 
 def _run_shrink(workload="halo2d", method="GP4", n=8, storage="remote",
-                kill_at=1.7, victim=1):
+                kill_at=1.7, victim=1, telemetry=None):
     """Kill ``victim``'s node with zero spares; return (app, runtime)."""
     opts = dict(SHRINK_OPTS) if workload in ("halo2d", "ring") else {}
     wl = build_workload(workload, n, opts)
@@ -46,6 +47,8 @@ def _run_shrink(workload="halo2d", method="GP4", n=8, storage="remote",
                          rng=RandomStreams(7))
     runtime.set_memory(wl.memory_map())
     runtime.workload = wl
+    if telemetry is not None:
+        runtime.attach_telemetry(telemetry)
     CheckpointCoordinator(runtime, family, periodic(0.4)).start()
     model = TraceFailureModel([FailureEvent(kill_at, runtime.ctx(victim).node_id)])
     FailureInjector(runtime, model, elastic=True).start()
@@ -93,6 +96,24 @@ def test_shrink_from_scratch_with_local_storage():
     assert rep.repartition_bytes_shipped == 0
     assert rep.ranks_after == 7
     _assert_exactly_once(app)
+
+
+def test_shrink_emits_the_recovery_span_tree():
+    """A shrink runs through the live recovery engine's staged pipeline, so
+    its trace carries the same report-derived tree as a group recovery."""
+    telemetry = Telemetry()
+    _app, runtime = _run_shrink(telemetry=telemetry)
+    rep = next(r for r in runtime.recovery_reports if r.shrink)
+    spans = [s for s in telemetry.tracer.spans if s.track == "recovery"]
+    (root,) = [s for s in spans if s.name == "recovery"]
+    assert root.attrs["shrink"] and not root.aborted
+    assert (root.start, root.end) == (rep.failure_time, rep.completed_at)
+    children = [s for s in spans if s.parent_id == root.span_id]
+    assert {s.name for s in children} == {"detection", "rank_restart", "barrier"}
+    restarted = {s.attrs["rank"] for s in children if s.name == "rank_restart"}
+    assert restarted == set(runtime.workload.partition.active_ranks())
+    for span in spans:
+        assert root.start <= span.start <= span.end <= root.end
 
 
 @pytest.mark.parametrize("workload", ["ring", "cg", "hpl"])

@@ -34,6 +34,7 @@ from repro.core.coordinator import CheckpointCoordinator
 from repro.experiments.config import FailureSpec, ScenarioConfig
 from repro.experiments.runner import build_family, build_workload, run_scenario
 from repro.mpi.runtime import MpiRuntime
+from repro.obs import Telemetry
 from repro.recovery import RecoveryManager, SparePool
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
@@ -41,7 +42,7 @@ from repro.sim.rng import RandomStreams
 
 def _launch(method="GP4", n=16, workload="halo2d", interval=0.3, seed=7,
             model=None, n_spares=0, reboot_delay_s=0.0, concurrent=True,
-            spec=None):
+            spec=None, telemetry=None):
     wl = build_workload(workload, n, {})
     if spec is None:
         spec = GIDEON_300.with_nodes(max(GIDEON_300.n_nodes, n))
@@ -51,6 +52,8 @@ def _launch(method="GP4", n=16, workload="halo2d", interval=0.3, seed=7,
     runtime = MpiRuntime(sim, cluster, n, protocol_family=family,
                          rng=RandomStreams(seed))
     runtime.set_memory(wl.memory_map())
+    if telemetry is not None:
+        runtime.attach_telemetry(telemetry)
     CheckpointCoordinator(runtime, family, periodic(interval)).start()
     injector = None
     if model is not None:
@@ -275,6 +278,37 @@ class TestFailureDuringRecovery:
         t1 = injector.injected_events[0].time
         for rec in report.ranks:
             assert rec.lost_work_s <= t1 + 1e-9 or rec.rank != 0
+
+    @pytest.mark.parametrize("gap", [0.3, 0.1])
+    def test_aborted_attempt_spans_close_at_the_abort(self, gap):
+        """A superseded attempt's spans end at the abort, never before start.
+
+        With a 0.1 s gap the second kill lands inside the 0.25 s detection
+        delay: the aborted attempt never finished detecting, so it emits no
+        detection span.
+        """
+        runtime, _ = _launch()
+        kill_at = runtime.run_to_completion(limit_s=1e5).makespan * 0.6
+        events = [FailureEvent(kill_at, runtime.ctx(0).node_id),
+                  FailureEvent(kill_at + gap, runtime.ctx(1).node_id)]
+        telemetry = Telemetry()
+        runtime2, injector = _launch(model=TraceFailureModel(events),
+                                     telemetry=telemetry)
+        failed = runtime2.run_to_completion(limit_s=1e6)
+        assert failed.recovery_stats["aborted_recoveries"] == 1
+        spans = [s for s in telemetry.tracer.spans if s.track == "recovery"]
+        assert spans
+        for span in spans:
+            assert span.end >= span.start, (span.name, span.start, span.end)
+        t1, t2 = (e.time for e in injector.injected_events)
+        roots = sorted((s for s in spans if s.name == "recovery"),
+                       key=lambda s: s.end)
+        aborted, converged = roots
+        assert aborted.aborted and not converged.aborted
+        assert (aborted.start, aborted.end) == (t1, t2)
+        detections = [s for s in spans if s.name == "detection"
+                      and s.parent_id == aborted.span_id]
+        assert len(detections) == (1 if gap > 0.25 else 0)
 
 
 # ---------------------------------------------------------------- spare placement
