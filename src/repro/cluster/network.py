@@ -9,45 +9,68 @@ measurements the relevant effects are:
   messages at once shares its link, which is what makes "clearing in-transit
   messages" and "replaying logs to many peers" expensive at scale.
 
-The model exposes the coroutine :meth:`Network.transfer` (and its halves
-:meth:`Network.tx` / :meth:`Network.rx_path`), which yield simulation events
-until the message has been fully delivered, and a cheaper closed-form
-estimate, :meth:`Network.transfer_time`, used by analytic helper code.
+A message is two *legs*.  The sender leg pays the per-message overhead and
+then holds the sender's TX NIC for the serialisation time; the receiver leg
+pays the latency and then holds the receiver's RX NIC for the serialisation
+time.  :meth:`Network.transfer` yields simulation events until a message
+has been delivered; :meth:`Network.transfer_time` is the closed-form
+uncontended estimate used by analytic helper code.
 
-Closed-form fast path
----------------------
-When a NIC is *provably* uncontended, the multi-yield coroutine model is
-equivalent to a single timeout: overhead + serialisation on the sender side,
-latency + serialisation on the receiver side.  :meth:`try_reserve_tx` /
-:meth:`try_reserve_rx` check that proof obligation and, when it holds,
-reserve the NIC via :meth:`~repro.sim.primitives.Resource.acquire_nowait`
-so that any later (coroutine) transfer queues exactly where it would have
-queued against the coroutine model.
+The coroutine model
+-------------------
+:meth:`Network.tx` and :meth:`Network.rx_path` model each NIC as a
+capacity-1 FIFO :class:`~repro.sim.primitives.Resource`: an overhead (or
+latency) timeout, a NIC grant, a serialisation timeout, a release.  It is
+the reference the fast path is checked against: setting the environment
+variable ``REPRO_SIM_FASTPATH=0`` (or constructing ``Network(...,
+fast_path=False)``) runs it for every leg, and the determinism-parity tests
+run both and assert bit-identical results.  A configured
+``switch_capacity`` couples every transfer through a shared fabric
+resource, so a network with a fabric always runs the coroutine model too.
 
-The proof needs more than "the NIC resource is idle": a transfer that has
-been *initiated* but has not yet reached the NIC (it is still in its
-overhead or latency phase) would contend later.  The ``_tx_inflight`` /
-``_rx_inflight`` counters track initiated-but-unfinished transfers per NIC;
-the fast path requires the counter to be zero.  Because per-message latency
-and overhead are network constants, any transfer initiated *after* a fast
-reservation reaches the NIC no earlier than the reservation's own NIC phase,
-so the early hold can never steal the NIC from a transfer that would have
-won it under the coroutine model (and the fabric must be absent — with a
-capacity-limited switch the whole-window hold could over-serialise it, so a
-configured ``switch_capacity`` always takes the coroutine model).
+FIFO timelines (the fast path)
+------------------------------
+Every leg reaches its NIC a network constant after it starts
+(``per_message_overhead_s`` for TX, ``latency_s`` for RX).  A constant
+offset preserves order, so legs reach a NIC in the order they start, the
+FIFO queue serves them in that order, and a leg's whole schedule is fixed
+the moment it starts::
 
-Setting the environment variable ``REPRO_SIM_FASTPATH=0`` (or constructing
-``Network(..., fast_path=False)``) forces the full coroutine model; the
-determinism-parity tests run both and assert bit-identical results.
+    start = now + offset;  if prev_end > start: start = prev_end
+    end = start + nbytes / bandwidth
+
+where ``prev_end`` is the end of the NIC's previous leg.  These are the
+float operations the coroutine model performs through its chain of
+relative timeouts and grants, so completion times agree bit for bit.  A
+background send therefore schedules nothing (:meth:`Network.post_tx`); a
+delivery (:meth:`Network.plan_rx`) and a waited-for leg (:meth:`Network.tx`,
+:meth:`Network.rx_path`, so also :meth:`Network.transfer`) schedule exactly
+one event, at the leg's end.  The events the coroutine model would have
+processed instead are counted in ``sim.stats.events_elided``
+(:meth:`Network.settle_elided` takes back those of legs still in flight
+when a run stops).  One thing is not reproduced: among events due at the
+very same instant, an end event is ordered by when its leg was planned,
+whereas the coroutine model orders it by when the NIC was granted.  The
+simulated outputs of every FULL-scale benchmark cell still agree
+(``tools/fastpath_oracle.py``); a few such ties show as a small event
+residual.
+
+Cancellation.  A waited-for leg is interrupted only by failure handling (a
+rank killed in a blocking send, an aborted recovery's transfer).  The leg is
+then withdrawn exactly where the coroutine model's ``finally`` releases its
+NIC request: a leg still in its overhead/latency phase, or queued, vanishes;
+a serialising leg frees the NIC at the interrupt instant.  The NIC's later
+legs are re-planned, and an end event that moves is fired again at its new
+time.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Generator, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Generator, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.sim.primitives import Event, Resource, ResourceHold, ResourceRequest
+from repro.sim.primitives import Event, Resource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.topology import NodeTopology
@@ -58,8 +81,13 @@ FAST_PATH_ENV = "REPRO_SIM_FASTPATH"
 
 
 def fast_path_default() -> bool:
-    """Whether new networks use the closed-form fast path (env-controlled)."""
+    """Whether new networks use the fast paths (env-controlled)."""
     return os.environ.get(FAST_PATH_ENV, "1") != "0"
+
+
+#: one planned leg: ``(arrival at the NIC, serialisation time, end, end event
+#: or None for a background send, coroutine events elided at the end)``
+_Leg = Tuple[float, float, float, Optional[Event], int]
 
 
 @dataclass(frozen=True)
@@ -131,115 +159,15 @@ INFINIBAND_SDR = NetworkSpec(
 )
 
 
-class _TxChain:
-    """Callback-chain state machine for a background sender-side transfer.
-
-    Mirrors :meth:`Network._tx_body` event for event (overhead timeout, NIC
-    grant, optional fabric grant, serialisation timeout, releases in the same
-    order) but without a :class:`~repro.sim.engine.SimProcess`: no generator
-    frames, no bootstrap, and no process-completion calendar event.
-    """
-
-    __slots__ = ("net", "src", "ser", "req", "fb")
-
-    def __init__(self, net: "Network", src_node: int, nbytes: int) -> None:
-        self.net = net
-        self.src = src_node
-        self.ser = net.spec.serialization_time(nbytes)
-        self.req = None
-        self.fb = None
-        overhead = net.sim.timeout(net.spec.per_message_overhead_s)
-        overhead.callbacks.append(self._on_overhead)
-
-    def _on_overhead(self, _ev: Event) -> None:
-        net = self.net
-        net._materialize_tx_hold(self.src)
-        if net._fabric is None:
-            req = net._tx[self.src].acquire_nowait()
-            if req is not None:
-                # NIC free right now: the delay-zero grant event of the
-                # coroutine model is provably immediate — skip it.
-                self.req = req
-                net.sim.stats.events_elided += 1
-                done = net.sim.timeout(self.ser)
-                done.callbacks.append(self._on_done)
-                return
-        self.req = net._tx[self.src].request()
-        self.req.callbacks.append(self._on_grant)
-
-    def _on_grant(self, _ev: Event) -> None:
-        net = self.net
-        if net._fabric is not None:
-            self.fb = net._fabric.request()
-            self.fb.callbacks.append(self._on_fabric)
-        else:
-            done = net.sim.timeout(self.ser)
-            done.callbacks.append(self._on_done)
-
-    def _on_fabric(self, _ev: Event) -> None:
-        done = self.net.sim.timeout(self.ser)
-        done.callbacks.append(self._on_done)
-
-    def _on_done(self, _ev: Event) -> None:
-        net = self.net
-        if self.fb is not None:
-            net._fabric.release(self.fb)
-        net._tx[self.src].release(self.req)
-        net._tx_inflight[self.src] -= 1
-
-
-class _RxChain:
-    """Callback-chain state machine for a background receiver-side transfer.
-
-    Mirrors :meth:`Network._rx_body` (latency timeout, RX NIC grant,
-    serialisation timeout, release) without a process; invokes
-    ``on_complete(arg)`` at the exact delivery-completion instant.
-    """
-
-    __slots__ = ("net", "dst", "ser", "req", "on_complete", "arg")
-
-    def __init__(self, net: "Network", dst_node: int, nbytes: int,
-                 on_complete, arg) -> None:
-        self.net = net
-        self.dst = dst_node
-        self.ser = net.spec.serialization_time(nbytes)
-        self.req = None
-        self.on_complete = on_complete
-        self.arg = arg
-        latency = net.sim.timeout(net.spec.latency_s)
-        latency.callbacks.append(self._on_arrival)
-
-    def _on_arrival(self, _ev: Event) -> None:
-        net = self.net
-        req = net._rx[self.dst].acquire_nowait()
-        if req is not None:
-            # NIC free at arrival: skip the delay-zero grant event.
-            self.req = req
-            net.sim.stats.events_elided += 1
-            done = net.sim.timeout(self.ser)
-            done.callbacks.append(self._on_done)
-            return
-        self.req = net._rx[self.dst].request()
-        self.req.callbacks.append(self._on_grant)
-
-    def _on_grant(self, _ev: Event) -> None:
-        done = self.net.sim.timeout(self.ser)
-        done.callbacks.append(self._on_done)
-
-    def _on_done(self, _ev: Event) -> None:
-        net = self.net
-        net._rx[self.dst].release(self.req)
-        net._rx_inflight[self.dst] -= 1
-        self.on_complete(self.arg)
-
-
 class Network:
     """A switched network connecting the nodes of a :class:`~repro.cluster.topology.Cluster`.
 
-    Each node gets an independent transmit NIC resource and receive NIC
-    resource; a message holds the sender's TX NIC for its serialisation time
-    and the receiver's RX NIC for its serialisation time, separated by the
-    propagation latency.
+    Each node gets an independent transmit NIC and receive NIC; a message
+    holds the sender's TX NIC for its serialisation time and the receiver's
+    RX NIC for its serialisation time, separated by the propagation latency.
+    With :attr:`timelines` on, every NIC is a closed-form FIFO timeline;
+    otherwise every NIC is a :class:`~repro.sim.primitives.Resource` driven
+    by the coroutine model (see the module docstring).
     """
 
     def __init__(self, sim: "Simulator", spec: NetworkSpec, n_nodes: int,
@@ -253,30 +181,40 @@ class Network:
         #: physical switch layout (informational: drives *placement* choices
         #: like restart-on-spare, not link timing — see NodeTopology)
         self.topology = topology
-        #: closed-form fast path enabled (see module docstring)
+        #: fast paths enabled (see module docstring)
         self.fast_path = fast_path_default() if fast_path is None else fast_path
         # hot-path constants hoisted out of the (frozen) spec
         self._overhead_s = spec.per_message_overhead_s
         self._latency_s = spec.latency_s
         self._bandwidth = spec.bandwidth_bytes_per_s
+        self._fabric: Optional[Resource] = None
+        if spec.switch_capacity is not None:
+            self._fabric = Resource(sim, capacity=spec.switch_capacity, name="fabric")
+        #: NIC legs are planned on closed-form FIFO timelines (fast path
+        #: without a fabric); False runs the coroutine model
+        self.timelines = self.fast_path and self._fabric is None
+        # -- timeline state: end of each NIC's last planned leg, and the legs
+        # of its current busy period (``_Leg`` tuples) in FIFO order, so
+        # their ends are non-decreasing
+        self._tx_free: List[float] = [0.0] * n_nodes
+        self._rx_free: List[float] = [0.0] * n_nodes
+        self._tx_legs: List[List[_Leg]] = [[] for _ in range(n_nodes)]
+        self._rx_legs: List[List[_Leg]] = [[] for _ in range(n_nodes)]
+        #: ``(time, delta)`` elided-count corrections of cancelled legs whose
+        #: coroutine (+1) or stale fast (-1) event lies at ``time``
+        self._stale: List[Tuple[float, int]] = []
+        #: elided events taken back by the last :meth:`settle_elided`
+        self._unsettled = 0
+        # -- coroutine-model state
         self._tx: List[Resource] = [
             Resource(sim, capacity=1, name=f"tx:{i}") for i in range(n_nodes)
         ]
         self._rx: List[Resource] = [
             Resource(sim, capacity=1, name=f"rx:{i}") for i in range(n_nodes)
         ]
-        #: transfers initiated but not yet finished, per NIC (includes the
-        #: overhead/latency phase during which the NIC resource looks idle)
+        #: coroutine legs started but not yet finished, per NIC
         self._tx_inflight: List[int] = [0] * n_nodes
         self._rx_inflight: List[int] = [0] * n_nodes
-        #: lazy analytic TX hold per NIC: ``(until, reservation)`` or None.
-        #: Created by :meth:`try_hold_tx`; expired lazily by the next fast
-        #: check, or materialised into a release event only when a coroutine
-        #: transfer actually contends (see :meth:`_materialize_tx_hold`).
-        self._tx_hold: List[Optional[Tuple[float, ResourceHold]]] = [None] * n_nodes
-        self._fabric: Optional[Resource] = None
-        if spec.switch_capacity is not None:
-            self._fabric = Resource(sim, capacity=spec.switch_capacity, name="fabric")
         # accounting
         self.total_bytes = 0
         self.total_messages = 0
@@ -292,175 +230,158 @@ class Network:
             + self.spec.serialization_time(nbytes)
         )
 
-    # -- closed-form fast path -------------------------------------------
-    def try_reserve_tx(self, src_node: int, nbytes: int) -> Optional[Tuple[Event, ResourceHold]]:
-        """Closed-form sender path when the TX NIC is provably uncontended.
+    # -- FIFO timelines ----------------------------------------------------
+    def _plan(self, free: List[float], legs: List[List[_Leg]], node: int,
+              offset: float, nbytes: int, tail: int, with_event: bool,
+              value: Any = None) -> Optional[Event]:
+        """Plan one leg on a NIC timeline; return its end event if asked.
 
-        Returns ``(done, reservation)`` — ``done`` is one calendar event
-        firing at the exact instant the coroutine model would finish
-        (``(now + overhead) + serialisation``, preserving the coroutine's
-        floating-point association); the caller waits on it and then calls
-        :meth:`finish_tx` — or ``None`` when the coroutine model is required.
-        Performs the same byte/message accounting as :meth:`tx`.
+        The leg reaches the NIC ``offset`` after now and is served after the
+        NIC's previous leg: the same float operations as the coroutine
+        model's overhead/latency timeout, grant and serialisation timeout.
+        Elides that timeout and the grant, plus ``tail`` coroutine events
+        at the leg's end.
         """
-        self._expire_tx_hold(src_node)
-        if (not self.fast_path or self._fabric is not None
-                or self._tx_inflight[src_node]):
-            return None
-        req = self._tx[src_node].acquire_nowait()
-        if req is None:
-            return None
-        self._tx_inflight[src_node] += 1
-        self.total_bytes += nbytes
-        self.total_messages += 1
         sim = self.sim
-        sim.stats.fastpath_tx += 1
-        end = (sim.now + self._overhead_s) + nbytes / self._bandwidth
-        return sim.fire_at(end), req
+        now = sim.now
+        start = arrival = now + offset
+        ser = nbytes / self._bandwidth
+        nic = legs[node]
+        prev_end = free[node]
+        if prev_end <= now:
+            nic.clear()  # the NIC is idle: every recorded leg has ended
+        elif prev_end > start:
+            start = prev_end
+        end = start + ser
+        free[node] = end
+        sim.stats.events_elided += 2 + tail
+        ev = sim.fire_at(end, value) if with_event else None
+        nic.append((arrival, ser, end, ev, tail))
+        return ev
 
-    def finish_tx(self, src_node: int, reservation: ResourceHold) -> None:
-        """Release a :meth:`try_reserve_tx` reservation (at its computed end time)."""
-        self._tx_inflight[src_node] -= 1
-        self._tx[src_node].release(reservation)
+    def post_tx(self, src_node: int, nbytes: int) -> None:
+        """Sender leg of a background send, in either model.
 
-    def try_hold_tx(self, src_node: int, nbytes: int) -> bool:
-        """Event-free sender path for *background* transfers.
-
-        Like :meth:`try_reserve_tx`, but nobody waits for the sender side of
-        a non-blocking send, so no completion event is scheduled at all: the
-        NIC is held analytically until ``(now + overhead) + serialisation``
-        and the hold is released lazily — by the next fast-path check once it
-        has expired, or materialised into exactly one release event the
-        moment a coroutine transfer contends for the NIC.  Replaces the whole
-        spawned sender coroutine (overhead timeout, grant, serialisation
-        timeout, process completion: 4 calendar events) with zero.
+        The coroutine model spawns a process running :meth:`tx`.  On the
+        timelines nobody waits for the leg, so it is planned but schedules
+        nothing: the overhead timeout, NIC grant, serialisation timeout and
+        process completion all elide, and the leg only delays later legs of
+        the same NIC.
         """
-        self._expire_tx_hold(src_node)
-        if (not self.fast_path or self._fabric is not None
-                or self._tx_inflight[src_node]):
-            return False
-        req = self._tx[src_node].acquire_nowait()
-        if req is None:
-            return False
-        self._tx_inflight[src_node] += 1
-        self.total_bytes += nbytes
-        self.total_messages += 1
-        sim = self.sim
-        sim.stats.fastpath_tx += 1
-        sim.stats.events_elided += 4
-        end = (sim.now + self._overhead_s) + nbytes / self._bandwidth
-        self._tx_hold[src_node] = (end, req)
-        return True
-
-    def start_tx(self, src_node: int, nbytes: int) -> None:
-        """Background sender-side path as a callback chain (no process).
-
-        Used when the analytic hold of :meth:`try_hold_tx` is not provable
-        (NIC contended or another transfer in flight): the full event
-        sequence of the coroutine model runs, driven by callbacks instead of
-        a spawned process — eliding exactly the process-completion event.
-        """
-        self._tx_inflight[src_node] += 1
-        self.total_bytes += nbytes
-        self.total_messages += 1
-        self.sim.stats.events_elided += 1
-        _TxChain(self, src_node, nbytes)
-
-    def start_rx(self, dst_node: int, nbytes: int, on_complete, arg) -> None:
-        """Background receiver-side path as a callback chain (no process).
-
-        Runs the full latency + RX NIC event sequence of the coroutine model
-        and calls ``on_complete(arg)`` at the delivery-completion instant —
-        eliding exactly the process-completion event of the spawned model.
-        """
-        self._rx_inflight[dst_node] += 1
-        self.sim.stats.events_elided += 1
-        _RxChain(self, dst_node, nbytes, on_complete, arg)
-
-    def _expire_tx_hold(self, src_node: int) -> None:
-        """Release an analytic TX hold whose end time has passed."""
-        hold = self._tx_hold[src_node]
-        if hold is not None and hold[0] <= self.sim.now:
-            self._tx_hold[src_node] = None
-            self.finish_tx(src_node, hold[1])
-
-    def _materialize_tx_hold(self, src_node: int) -> None:
-        """Turn a live analytic TX hold into a real release event.
-
-        Called when a coroutine transfer is about to request the NIC: the
-        contender must queue until exactly the hold's end time, so the
-        deferred release is now scheduled (one event — the same release the
-        coroutine model would have performed inside its serialisation
-        timeout).
-        """
-        hold = self._tx_hold[src_node]
-        if hold is None:
+        if not self.timelines:
+            self.sim.process(self.tx(src_node, nbytes), name="tx")
             return
-        until, req = hold
-        self._tx_hold[src_node] = None
-        if until <= self.sim.now:
-            self.finish_tx(src_node, req)
-            return
-        self.sim.stats.events_elided -= 1
-        done = self.sim.fire_at(until)
-        done.callbacks.append(lambda _ev: self.finish_tx(src_node, req))
+        self.total_bytes += nbytes
+        self.total_messages += 1
+        self.sim.stats.fastpath_tx += 1
+        self._plan(self._tx_free, self._tx_legs, src_node, self._overhead_s,
+                   nbytes, 2, False)
 
-    def try_reserve_rx(self, dst_node: int, nbytes: int) -> Optional[Tuple[Event, ResourceHold]]:
-        """Closed-form receiver path when the RX NIC is provably uncontended.
+    def plan_rx(self, dst_node: int, nbytes: int, value: Any = None) -> Event:
+        """Receiver leg of a background delivery; returns its end event.
 
-        Returns ``(done, reservation)`` — ``done`` fires at the exact instant
-        the coroutine model would complete the latency + RX-serialisation
-        path; the caller calls :meth:`finish_rx` from it.  ``None`` under
-        (potential) contention.
+        The event fires with ``value`` at the delivery-completion instant.
+        It stands in for the latency timeout, RX grant and serialisation
+        timeout of the coroutine model, and for the completion event of the
+        process the coroutine model spawns for the delivery.
         """
-        if not self.fast_path or self._rx_inflight[dst_node]:
-            return None
-        req = self._rx[dst_node].acquire_nowait()
-        if req is None:
-            return None
-        self._rx_inflight[dst_node] += 1
+        self.sim.stats.fastpath_rx += 1
+        return self._plan(self._rx_free, self._rx_legs, dst_node,
+                          self._latency_s, nbytes, 1, True, value)
+
+    def _cancel(self, free: List[float], legs: List[List[_Leg]], node: int,
+                done: Event) -> None:
+        """Cancel the waited-for leg ending with ``done`` at the current instant.
+
+        Mirrors the coroutine model's ``finally`` release: a leg still in
+        its overhead/latency phase or queued vanishes (only its first
+        timeout still fires; its grant and serialisation never happen), a
+        serialising leg frees the NIC now.  The NIC's later legs are
+        re-planned; an end event that moves earlier is fired again at its
+        new time.  ``done`` and every moved event keep their original
+        calendar entry, which still pops as an empty event: each one is one
+        processed event the coroutine model does not have.
+        """
+        nic = legs[node]
+        for i, leg in enumerate(nic):
+            if leg[3] is done:
+                break
+        else:
+            return  # ended at this very instant and already pruned
         sim = self.sim
-        sim.stats.fastpath_rx += 1
-        end = (sim.now + self._latency_s) + nbytes / self._bandwidth
-        return sim.fire_at(end), req
+        stats = sim.stats
+        now = sim.now
+        arrival, _ser, old_end, _ev, _tail = leg
+        prev_end = nic[i - 1][2] if i else 0.0
+        del nic[i]
+        if now < (prev_end if prev_end > arrival else arrival):
+            # vanished: the first timeout (at ``arrival``) stays a coroutine
+            # event, the stale pop of ``done`` is a fast one
+            stats.events_elided -= 2
+            self._stale += ((arrival, 1), (old_end, -1))
+        else:
+            prev_end = now
+        for j in range(i, len(nic)):
+            arrival, ser, old_end, ev, tail = nic[j]
+            start = arrival
+            if prev_end > start:
+                start = prev_end
+            end = start + ser
+            if end != old_end:
+                nic[j] = (arrival, ser, end, ev, tail)
+                if ev is not None:
+                    sim.refire_at(ev, end)
+                    stats.events_elided -= 1
+                    self._stale.append((old_end, -1))
+            prev_end = end
+        free[node] = prev_end
 
-    def finish_rx(self, dst_node: int, reservation: ResourceHold) -> None:
-        """Release a :meth:`try_reserve_rx` reservation (at its computed end time)."""
-        self._rx_inflight[dst_node] -= 1
-        self._rx[dst_node].release(reservation)
+    def settle_elided(self) -> None:
+        """Bring ``sim.stats.events_elided`` in line with the current instant.
 
-    # -- inflight bookkeeping for spawned coroutines -----------------------
-    def begin_tx(self, src_node: int) -> None:
-        """Count a sender-side transfer as initiated (spawned-coroutine path).
-
-        A generator's body only runs once the spawned process is first
-        stepped; counting at spawn time closes the window in which a fast
-        reservation could sneak past a transfer that is already on its way.
-        Pair with :meth:`tx_counted`.
+        Legs count their elided events when planned, but a run can stop
+        (every rank finished) while legs are still in flight — typically a
+        background send's NIC occupancy outlasting its sender.  The
+        coroutine model never processes the events such legs would still
+        have had after the stop, so they are taken back here: every
+        coroutine event later than now, and every correction of a
+        cancellation that lies later than now.  Calling it again after the
+        simulation continued re-settles against the new instant.
         """
-        self._tx_inflight[src_node] += 1
+        now = self.sim.now
+        pending = 0
+        for legs in (self._tx_legs, self._rx_legs):
+            for nic in legs:
+                prev_end = 0.0
+                for arrival, _ser, end, _ev, tail in nic:
+                    if end > now:
+                        start = prev_end if prev_end > arrival else arrival
+                        pending += (arrival > now) + (start > now) + tail
+                    prev_end = end
+        self._stale = [(t, d) for t, d in self._stale if t > now]
+        pending += sum(d for _t, d in self._stale)
+        self.sim.stats.events_elided += self._unsettled - pending
+        self._unsettled = pending
 
-    def begin_rx(self, dst_node: int) -> None:
-        """Count a receiver-side transfer as initiated (see :meth:`begin_tx`)."""
-        self._rx_inflight[dst_node] += 1
+    def _wait(self, free: List[float], legs: List[List[_Leg]], node: int,
+              offset: float, nbytes: int) -> Generator[Event, None, float]:
+        """Plan a leg the caller waits for; wait for its end event.
 
-    def tx_counted(self, src_node: int, nbytes: int) -> Generator[Event, None, float]:
-        """Sender-side coroutine for a transfer already counted via :meth:`begin_tx`."""
+        The one event stands in for the offset timeout, NIC grant and
+        serialisation timeout.  An interrupted caller withdraws its leg
+        exactly where the coroutine model's ``finally`` releases its NIC.
+        Returns the elapsed time.
+        """
+        start = self.sim.now
+        done = self._plan(free, legs, node, offset, nbytes, 0, True)
         try:
-            result = yield from self._tx_body(src_node, nbytes)
-        finally:
-            self._tx_inflight[src_node] -= 1
-        return result
+            yield done
+        except BaseException:
+            self._cancel(free, legs, node, done)
+            raise
+        return self.sim.now - start
 
-    def rx_counted(self, dst_node: int, nbytes: int) -> Generator[Event, None, float]:
-        """Receiver-side coroutine for a transfer already counted via :meth:`begin_rx`."""
-        try:
-            result = yield from self._rx_body(dst_node, nbytes)
-        finally:
-            self._rx_inflight[dst_node] -= 1
-        return result
-
-    # -- simulated transfer ----------------------------------------------
+    # -- waited legs (either model) -----------------------------------------
     def tx(self, src_node: int, nbytes: int) -> Generator[Event, None, float]:
         """Sender-side portion of a transfer: per-message overhead + TX NIC hold.
 
@@ -470,6 +391,12 @@ class Network:
         self._check_node(src_node)
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
+        if self.timelines:
+            self.total_bytes += nbytes
+            self.total_messages += 1
+            self.sim.stats.fastpath_tx += 1
+            return (yield from self._wait(self._tx_free, self._tx_legs, src_node,
+                                          self._overhead_s, nbytes))
         self._tx_inflight[src_node] += 1
         try:
             result = yield from self._tx_body(src_node, nbytes)
@@ -483,18 +410,6 @@ class Network:
         start = self.sim.now
         yield self.sim.timeout(self.spec.per_message_overhead_s)
         ser = self.spec.serialization_time(nbytes)
-        self._materialize_tx_hold(src_node)
-        if self.fast_path and self._fabric is None:
-            tx_req = self._tx[src_node].acquire_nowait()
-            if tx_req is not None:
-                # NIC free right now: the delay-zero grant is provably
-                # immediate — hold the slot and skip the grant event.
-                self.sim.stats.events_elided += 1
-                try:
-                    yield self.sim.timeout(ser)
-                finally:
-                    self._tx[src_node].release(tx_req)
-                return self.sim.now - start
         # The grant waits sit inside try/finally so that an interrupted
         # process (live failure injection kills ranks mid-transfer) cancels
         # its queued request instead of leaking a NIC slot forever.
@@ -519,6 +434,10 @@ class Network:
         self._check_node(dst_node)
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
+        if self.timelines:
+            self.sim.stats.fastpath_rx += 1
+            return (yield from self._wait(self._rx_free, self._rx_legs, dst_node,
+                                          self._latency_s, nbytes))
         self._rx_inflight[dst_node] += 1
         try:
             result = yield from self._rx_body(dst_node, nbytes)
@@ -529,16 +448,6 @@ class Network:
     def _rx_body(self, dst_node: int, nbytes: int) -> Generator[Event, None, float]:
         start = self.sim.now
         yield self.sim.timeout(self.spec.latency_s)
-        if self.fast_path:
-            rx_req = self._rx[dst_node].acquire_nowait()
-            if rx_req is not None:
-                # NIC free at arrival: skip the delay-zero grant event.
-                self.sim.stats.events_elided += 1
-                try:
-                    yield self.sim.timeout(self.spec.serialization_time(nbytes))
-                finally:
-                    self._rx[dst_node].release(rx_req)
-                return self.sim.now - start
         rx_req = self._rx[dst_node].request()
         try:
             yield rx_req
@@ -547,17 +456,15 @@ class Network:
             self._rx[dst_node].release(rx_req)
         return self.sim.now - start
 
+    # -- simulated transfer ----------------------------------------------
     def transfer(
         self, src_node: int, dst_node: int, nbytes: int
     ) -> Generator[Event, None, float]:
         """Simulate moving ``nbytes`` from ``src_node`` to ``dst_node``.
 
         Yields simulation events; returns the completion time.  Local (same
-        node) transfers only pay the per-message overhead.  Each half takes
-        the closed-form fast path when its NIC is provably uncontended
-        (one timeout event instead of the multi-yield coroutine); the halves
-        are collapsed independently because the receiver NIC can only be
-        judged at the moment the receive leg starts.
+        node) transfers only pay the per-message overhead.  The receiver leg
+        starts when the sender leg ends.
         """
         self._check_node(src_node)
         self._check_node(dst_node)
@@ -570,33 +477,23 @@ class Network:
             yield self.sim.timeout(self.spec.per_message_overhead_s)
             return self.sim.now
 
-        stats = self.sim.stats
-        fast_tx = self.try_reserve_tx(src_node, nbytes)
-        if fast_tx is not None:
-            done, req = fast_tx
-            stats.events_elided += 2
-            try:
-                yield done
-            finally:
-                # finally: an interrupted caller (an aborted recovery's image
-                # fetch or replay) must release the NIC reservation, exactly
-                # like the coroutine model's try/finally does.
-                self.finish_tx(src_node, req)
-        else:
-            yield from self.tx(src_node, nbytes)
-        fast_rx = self.try_reserve_rx(dst_node, nbytes)
-        if fast_rx is not None:
-            done, req = fast_rx
-            stats.events_elided += 2
-            try:
-                yield done
-            finally:
-                self.finish_rx(dst_node, req)
-        else:
-            yield from self.rx_path(dst_node, nbytes)
+        yield from self.tx(src_node, nbytes)
+        yield from self.rx_path(dst_node, nbytes)
         return self.sim.now
 
     # -- introspection -----------------------------------------------------
+    def nic_inflight(self, at: float) -> List[int]:
+        """Legs in flight on each node's NICs (TX + RX) at instant ``at``.
+
+        A leg counts from the event that started it until its end (or
+        cancellation) inclusive.  ``at`` must lie after every leg planned so
+        far — the state sampler asks for the bin edges it has just crossed.
+        """
+        if not self.timelines:
+            return [t + r for t, r in zip(self._tx_inflight, self._rx_inflight)]
+        return [_live_legs(tx, at) + _live_legs(rx, at)
+                for tx, rx in zip(self._tx_legs, self._rx_legs)]
+
     def same_switch(self, a: int, b: int) -> bool:
         """Whether two nodes share an edge switch (True without a topology).
 
@@ -610,19 +507,19 @@ class Network:
             return True
         return self.topology.same_switch(a, b)
 
-    def tx_queue_length(self, node: int) -> int:
-        """Messages currently waiting for the node's transmit NIC."""
-        self._check_node(node)
-        return self._tx[node].queue_length
-
-    def rx_queue_length(self, node: int) -> int:
-        """Messages currently waiting for the node's receive NIC."""
-        self._check_node(node)
-        return self._rx[node].queue_length
-
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.n_nodes:
             raise ValueError(f"node {node} out of range [0, {self.n_nodes})")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Network {self.spec.name} nodes={self.n_nodes} msgs={self.total_messages}>"
+
+
+def _live_legs(legs: List[_Leg], at: float) -> int:
+    """Number of trailing legs (ends are non-decreasing) still running at ``at``."""
+    n = 0
+    for leg in reversed(legs):
+        if leg[2] < at:
+            break
+        n += 1
+    return n

@@ -598,29 +598,6 @@ class ApplicationResult:
         return out
 
 
-class _FastDelivery:
-    """Completion callback of a closed-form delivery (one slotted object).
-
-    Releases the analytic RX reservation and finalises the delivery at the
-    reserved completion instant; replaces a closure + argument tuple on the
-    per-message fast path.
-    """
-
-    __slots__ = ("runtime", "net", "dst_node", "reservation", "msg")
-
-    def __init__(self, runtime: "MpiRuntime", net: Any, dst_node: int,
-                 reservation: Any, msg: Message) -> None:
-        self.runtime = runtime
-        self.net = net
-        self.dst_node = dst_node
-        self.reservation = reservation
-        self.msg = msg
-
-    def __call__(self, _ev: Event) -> None:
-        self.net.finish_rx(self.dst_node, self.reservation)
-        self.runtime._finish_delivery(self.msg)
-
-
 ProgramFactory = Callable[[int], Iterable[Op]]
 
 
@@ -826,8 +803,8 @@ class MpiRuntime:
 
     def _deliver_remote(self, msg: Message, wire_bytes: int,
                         dst_node: int) -> Generator[Event, None, None]:
-        """Coroutine delivery for a remote message already counted via ``begin_rx``."""
-        yield from self.cluster.network.rx_counted(dst_node, wire_bytes)
+        """Coroutine delivery for a remote message (coroutine model only)."""
+        yield from self.cluster.network.rx_path(dst_node, wire_bytes)
         self._finish_delivery(msg)
 
     def _deliver_local(self, msg: Message) -> Generator[Event, None, None]:
@@ -836,15 +813,20 @@ class MpiRuntime:
         return
         yield  # pragma: no cover - makes this a generator
 
+    def _on_delivered(self, ev: Event) -> None:
+        """End event of a timeline delivery: finish delivering its message."""
+        self._finish_delivery(ev._value)
+
     def _start_delivery(self, msg: Message, wire_bytes: int,
                         src_node: int, dst_node: int) -> None:
-        """Begin background delivery of ``msg`` (fast callback path or coroutine).
+        """Begin background delivery of ``msg`` (fast path or coroutine).
 
-        Fast paths schedule at most one calendar event per delivery; the
-        events they avoid relative to the coroutine model are counted in
-        ``sim.stats.events_elided`` (local delivery elides the process
-        completion event; a remote one elides the latency timeout, the RX
-        grant and the serialisation timeout of the coroutine model).
+        A local delivery on the fast path is one immediate callback (it
+        elides the delivery process's completion event).  A remote one on
+        the NIC timelines is one event at the receiver leg's end
+        (:meth:`~repro.cluster.network.Network.plan_rx`); it elides the
+        latency timeout, the RX grant, the serialisation timeout and the
+        process completion of the coroutine model.
         """
         sim = self.sim
         net = self.cluster.network
@@ -856,31 +838,10 @@ class MpiRuntime:
             else:
                 sim.process(self._deliver_local(msg), name="deliver")
             return
-        if not net.fast_path:
-            net.begin_rx(dst_node)
+        if not net.timelines:
             sim.process(self._deliver_remote(msg, wire_bytes, dst_node), name="deliver")
             return
-        fast = net.try_reserve_rx(dst_node, wire_bytes)
-        if fast is not None:
-            done, reservation = fast
-            sim.stats.events_elided += 3
-            done.callbacks.append(_FastDelivery(self, net, dst_node, reservation, msg))
-        else:
-            net.start_rx(dst_node, wire_bytes, self._finish_delivery, msg)
-
-    def _spawn_tx(self, src_node: int, nbytes: int) -> None:
-        """Run the sender-side NIC path in the background (fast or coroutine).
-
-        The fast path replaces the spawned coroutine (overhead timeout, NIC
-        grant, serialisation timeout, process completion) with an event-free
-        analytic NIC hold (:meth:`~repro.cluster.network.Network.try_hold_tx`).
-        """
-        net = self.cluster.network
-        if not net.fast_path:
-            net.begin_tx(src_node)
-            self.sim.process(net.tx_counted(src_node, nbytes), name="tx")
-        elif not net.try_hold_tx(src_node, nbytes):
-            net.start_tx(src_node, nbytes)
+        net.plan_rx(dst_node, wire_bytes, msg).callbacks.append(self._on_delivered)
 
     def app_send(
         self,
@@ -953,22 +914,11 @@ class MpiRuntime:
         dst_node = self.contexts[dst].node_id
         if blocking and src_node != dst_node:
             # Sender occupied for the TX-side cost of the transfer.
-            fast = net.try_reserve_tx(src_node, wire_bytes)
-            if fast is not None:
-                done, reservation = fast
-                sim.stats.events_elided += 2
-                try:
-                    yield done
-                finally:
-                    # finally: an interrupt (failure injection) must release
-                    # the NIC reservation, exactly like the coroutine model.
-                    net.finish_tx(src_node, reservation)
-            else:
-                yield from net.tx(src_node, wire_bytes)
+            yield from net.tx(src_node, wire_bytes)
         else:
             yield Timeout(sim, net._overhead_s)
             if src_node != dst_node:
-                self._spawn_tx(src_node, wire_bytes)
+                net.post_tx(src_node, wire_bytes)
         self._start_delivery(msg, wire_bytes, src_node, dst_node)
         stats.send_time += sim.now - start
         return msg
@@ -989,9 +939,10 @@ class MpiRuntime:
         msg = self._make_message(ctx.rank, dst, size, tag, kind, payload=payload)
         src_node = ctx.node_id
         dst_node = self.ctx(dst).node_id
-        yield Timeout(self.sim, self.cluster.network._overhead_s)
+        net = self.cluster.network
+        yield Timeout(self.sim, net._overhead_s)
         if src_node != dst_node:
-            self._spawn_tx(src_node, size)
+            net.post_tx(src_node, size)
         self._start_delivery(msg, size, src_node, dst_node)
         return msg
 
@@ -1596,6 +1547,8 @@ class MpiRuntime:
                 if not self.sim.run_until_event(done, limit=limit_s):
                     raise RuntimeError(
                         f"application did not finish within {limit_s} simulated seconds")
+        # legs still in flight when the run stops never finish here
+        self.cluster.network.settle_elided()
         makespan = max(
             ctx.stats.finished_at for ctx in self.contexts if ctx.stats.finished_at is not None
         )

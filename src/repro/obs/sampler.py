@@ -14,7 +14,9 @@ successive event pops the whole world is piecewise-constant.  The kernel
 when the popped timestamp crosses the sampler's next bin edge it calls
 :meth:`observe`, which takes **one** snapshot and stamps it onto every
 edge crossed since the previous pop — the snapshot is exact for all of
-them because nothing ran in between.
+them because nothing ran in between.  The one exception is NIC occupancy:
+the network's fast path plans legs on closed-form timelines whose phases
+change between events, so it is read from the network at each edge.
 
 Point samples are accurate to one bin width per contiguous state
 interval, which is not tight enough for phases that recur many times
@@ -143,22 +145,31 @@ class StateSampler:
         snap = self._snapshot()
         edge = self.next_edge
         bin_s = self.bin_s
-        (states, depths, logged, nic, busy, storage) = snap
         while edge <= time:
-            self.edges.append(edge)
-            self.rank_states.append(states)
-            self.inbox_depths.append(depths)
-            self.log_bytes.append(logged)
-            self.nic_inflight.append(nic)
-            self.nic_busy_nodes.append(busy)
-            self.storage_inflight.append(storage)
+            self._stamp(edge, snap)
             edge += bin_s
         self.next_edge = edge
         if len(self.edges) > self.max_bins:
             self._rebin()
 
-    def _snapshot(self) -> Tuple[bytes, "array[int]", "array[int]",
-                                 "array[int]", int, int]:
+    def _stamp(self, edge: float, snap: Tuple[bytes, "array[int]", "array[int]", int]) -> None:
+        """Append one sample at ``edge``.
+
+        NIC legs planned on closed-form timelines start and end between
+        events, so NIC occupancy is read from the network at the edge
+        itself rather than from the shared snapshot.
+        """
+        states, depths, logged, storage = snap
+        nic = array("l", self._runtime.cluster.network.nic_inflight(edge))
+        self.edges.append(edge)
+        self.rank_states.append(states)
+        self.inbox_depths.append(depths)
+        self.log_bytes.append(logged)
+        self.nic_inflight.append(nic)
+        self.nic_busy_nodes.append(sum(1 for v in nic if v))
+        self.storage_inflight.append(storage)
+
+    def _snapshot(self) -> Tuple[bytes, "array[int]", "array[int]", int]:
         runtime = self._runtime
         procs = runtime._rank_processes
         codes = bytearray(runtime.n_ranks)
@@ -169,18 +180,13 @@ class StateSampler:
             codes[rank] = self._derive_state(ctx, procs[rank] if rank < len(procs) else None)
             depths.append(len(ctx.inbox))
             logged.append(int(getattr(ctx.protocol, "logged_bytes_total", 0) or 0))
-        net = runtime.cluster.network
-        tx = net._tx_inflight
-        rx = net._rx_inflight
-        nic = array("l", [tx[i] + rx[i] for i in range(net.n_nodes)])
-        busy = sum(1 for v in nic if v)
         hier = getattr(runtime.cluster, "hierarchy", None)
         storage = 0
         if hier is not None:
             storage = max(0, hier.partner_copies_started
                           - hier.partner_copies_completed
                           - hier.partner_copies_lost)
-        return bytes(codes), depths, logged, nic, busy, storage
+        return bytes(codes), depths, logged, storage
 
     @staticmethod
     def _derive_state(ctx: Any, proc: Any) -> int:
@@ -268,14 +274,7 @@ class StateSampler:
         if not self.edges and now > 0 and self._runtime is not None:
             # run shorter than one bin: emit a single closing sample so the
             # series (and the dashboard) are never empty
-            snap = self._snapshot()
-            self.edges.append(now)
-            self.rank_states.append(snap[0])
-            self.inbox_depths.append(snap[1])
-            self.log_bytes.append(snap[2])
-            self.nic_inflight.append(snap[3])
-            self.nic_busy_nodes.append(snap[4])
-            self.storage_inflight.append(snap[5])
+            self._stamp(now, self._snapshot())
         self.end_time = now
 
     # ------------------------------------------------------------------

@@ -302,6 +302,21 @@ class Simulator:
         self.stats.heap_pushes += 1
         return ev
 
+    def refire_at(self, event: Event, time: float) -> None:
+        """Fire a :meth:`fire_at` event at the earlier absolute ``time`` instead.
+
+        The calendar has no removal: the event's original entry stays and,
+        when it pops, finds the event already processed and runs nothing —
+        it still counts as one processed event.  Used when a cancelled
+        network leg pulls a later leg's end forward.
+        """
+        if time < self.now:
+            raise ValueError(f"cannot fire at {time} before the current time {self.now}")
+        counter = self._counter + 1
+        self._counter = counter
+        _heappush(self._heap, (time, counter, event))
+        self.stats.heap_pushes += 1
+
     def process(self, generator: ProcessGenerator, name: EventName = None) -> SimProcess:
         """Register ``generator`` as a simulation process starting now."""
         return SimProcess(self, generator, name=name)

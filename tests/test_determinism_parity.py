@@ -9,8 +9,10 @@ The fast-path refactor must be invisible in simulated results:
   metrics *and* an exactly accounted event count:
   ``slow.processed_events == fast.processed_events + fast.stats.events_elided``,
 * the closed-form ``Network.transfer`` equals the coroutine model's completion
-  time exactly when uncontended, and the NIC-hold machinery preserves queue
-  times under contention.
+  time exactly when uncontended, the NIC timelines preserve queue times under
+  contention and cancel interrupted legs exactly like the coroutine model,
+* one FULL-scale (64-rank) cell, whose contention smaller runs never show,
+  agrees bit for bit and event for event.
 """
 
 import json
@@ -21,7 +23,7 @@ import pytest
 from repro.cluster.network import FAST_ETHERNET, FAST_PATH_ENV, Network
 from repro.experiments import runner
 from repro.experiments.parity import parity_metrics, quick_parity_configs, scenario_label
-from repro.sim.engine import Simulator
+from repro.sim.engine import Interrupt, Simulator
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "quick_parity_golden.json")
 CONFIGS = quick_parity_configs()
@@ -103,28 +105,126 @@ def test_transfer_closed_form_equals_coroutine_uncontended():
         assert _transfer_elapsed(True, nbytes) == _transfer_elapsed(False, nbytes)
 
 
+def _storm(fast: bool, legs, interrupt=None):
+    """Run a NIC contention storm; return completions and event accounting.
+
+    ``legs`` are ``(kind, src, dst, nbytes, delay)``: ``"transfer"`` runs a
+    waited :meth:`Network.transfer`, ``"post"`` a background send from
+    ``src``.  ``interrupt=(i, at)`` interrupts the ``i``-th transfer at
+    ``at``.  Returns ``(completions, processed, elided, nic samples)``.
+    """
+    sim = Simulator()
+    net = Network(sim, FAST_ETHERNET, 4, fast_path=fast)
+    done = []
+    procs = {}
+
+    def sender(i, src, dst, nbytes, delay):
+        yield sim.timeout(delay)
+        try:
+            yield from net.transfer(src, dst, nbytes)
+            done.append((i, "done", sim.now))
+        except Interrupt:
+            done.append((i, "interrupted", sim.now))
+
+    def poster(src, nbytes, delay):
+        yield sim.timeout(delay)
+        net.post_tx(src, nbytes)
+
+    samples = []
+
+    def sampler():
+        # off-grid instants: NIC occupancy between events, both models
+        for t in (0.0031, 0.0101, 0.0213, 0.0351, 0.0457, 0.0555, 0.0601,
+                  0.0702, 0.0731, 0.1003, 0.1501):
+            yield sim.timeout(t - sim.now)
+            samples.append(net.nic_inflight(t))
+
+    for i, (kind, src, dst, nbytes, delay) in enumerate(legs):
+        if kind == "transfer":
+            procs[i] = sim.process(sender(i, src, dst, nbytes, delay))
+        else:
+            sim.process(poster(src, nbytes, delay))
+    sim.process(sampler())
+    if interrupt is not None:
+        index, at = interrupt
+
+        def killer():
+            yield sim.timeout(at)
+            procs[index].interrupt("kill")
+
+        sim.process(killer())
+    sim.run()
+    return sorted(done), sim.processed_events, sim.stats.events_elided, samples
+
+
+#: overlapping transfers from node 0 (TX contention) into nodes 1 and 2 (RX
+#: contention, also from node 3), background sends interleaved on node 0
+STORM = [
+    ("transfer", 0, 1, 400_000, 0.0),
+    ("post", 0, None, 60_000, 0.0005),
+    ("transfer", 0, 2, 100_000, 0.001),
+    ("transfer", 0, 1, 50_000, 0.001),
+    ("post", 0, None, 20_000, 0.001),
+    ("transfer", 3, 1, 115_000, 0.002),
+    ("transfer", 0, 2, 800_000, 0.002),
+    ("post", 0, None, 115_000, 0.004),
+    ("transfer", 3, 1, 50_000, 0.05),
+]
+
+
 def test_transfer_contended_equal_times_under_both_paths():
-    """A NIC contention storm resolves to identical completion times."""
+    """A NIC contention storm with background sends mixed in resolves to
+    identical completion times and NIC occupancy, event for event."""
+    fast, slow = _storm(True, STORM), _storm(False, STORM)
+    assert fast[0] == slow[0]
+    assert fast[3] == slow[3]
+    assert slow[1] == fast[1] + fast[2]
 
-    def storm(fast: bool):
-        sim = Simulator()
-        net = Network(sim, FAST_ETHERNET, 3, fast_path=fast)
-        done = []
 
-        def sender(dst, nbytes, delay):
-            yield sim.timeout(delay)
-            yield from net.transfer(0, dst, nbytes)
-            done.append((dst, nbytes, sim.now))
+#: interrupt instants landing in each phase of a leg with queued successors:
+#: leg 2's TX leg reaches node 0's NIC at 1.02 ms and serialises from ~40.0
+#: to ~48.7 ms; leg 3's RX leg reaches node 1's NIC at ~53.2 ms and
+#: serialises from ~69.7 to ~74.1 ms, with leg 8 queued behind it
+PHASES = {
+    "tx-overhead": (2, 0.00101),
+    "tx-queued": (2, 0.005),
+    "tx-serialising": (2, 0.045),
+    "rx-latency": (3, 0.0531),
+    "rx-queued": (3, 0.06),
+    "rx-serialising": (3, 0.072),
+}
 
-        # overlapping transfers from one node: TX NIC contention, mixed sizes
-        for i, (dst, nbytes, delay) in enumerate(
-            [(1, 400_000, 0.0), (2, 100_000, 0.001), (1, 50_000, 0.001), (2, 800_000, 0.002)]
-        ):
-            sim.process(sender(dst, nbytes, delay))
-        sim.run()
-        return done
 
-    assert storm(True) == storm(False)
+@pytest.mark.parametrize("phase", sorted(PHASES))
+def test_interrupted_leg_matches_coroutine_model(phase):
+    """Cancelling a leg in any phase frees the NIC and re-plans its queued
+    successors exactly like the coroutine model's ``finally`` release."""
+    interrupt = PHASES[phase]
+    fast, slow = _storm(True, STORM, interrupt), _storm(False, STORM, interrupt)
+    index, at = interrupt
+    assert (index, "interrupted", at) in slow[0]
+    assert fast[0] == slow[0]
+    assert fast[3] == slow[3]
+    assert slow[1] == fast[1] + fast[2]
+
+
+def test_full_scale_tier_cell_matches_coroutine_model():
+    """A 64-rank cell where NIC contention only appears at the paper's scale.
+
+    NORM with partner replication (L1+L2) on 64 ranks: partner copies
+    overlap the application's all-pairs flush.  Smaller runs of the same
+    cell (16, 32 ranks) never contend this way, so only the FULL scale shows
+    whether the fast path still agrees with its oracle — bit for bit, and
+    event for event.
+    """
+    from repro.experiments.storage_tiers import storage_tier_configs
+
+    config = storage_tier_configs(n_ranks=64, methods=("NORM",), policies=("L1+L2",),
+                                  failures=("none",), seeds=(0,))[0]
+    fast_metrics, fast_events, fast_elided, _ = _run(config, fast=True)
+    slow_metrics, slow_events, _, _ = _run(config, fast=False)
+    assert fast_metrics == slow_metrics
+    assert slow_events == fast_events + fast_elided
 
 
 def test_fast_path_env_toggle_controls_network_default(monkeypatch):

@@ -2,8 +2,9 @@
 
 Covers the immediate-resume queue (:meth:`Simulator.call_soon`, process
 bootstrap without boot events), lazy event names, ``SimStats`` counters,
-``fire_at`` absolute scheduling, ``Resource.acquire_nowait`` holds, lazy TX
-holds on the network, and the signal-free receive gating of the runtime.
+``fire_at`` absolute scheduling, ``Resource.acquire_nowait`` holds, the
+network's closed-form NIC timelines, and the signal-free receive gating of
+the runtime.
 """
 
 import pytest
@@ -204,45 +205,54 @@ def test_store_getter_wakes_through_immediate_queue():
     assert sim.processed_events == 0  # no calendar event was used
 
 
-# ----------------------------------------------------------- network tx holds
-def test_try_hold_tx_is_event_free_and_expires_lazily():
+# ------------------------------------------------------------- NIC timelines
+def test_background_send_schedules_no_event():
     sim = Simulator()
     net = Network(sim, FAST_ETHERNET, 2, fast_path=True)
-    assert net.try_hold_tx(0, 1000)
-    assert not sim._heap  # zero events scheduled
-    # second hold while the first is live: refused (inflight + NIC busy)
-    assert not net.try_hold_tx(0, 1000)
-    # after the hold's end time has passed, the next check expires it
-    sim.now = 1.0
-    assert net.try_hold_tx(0, 1000)
+    net.post_tx(0, 1000)
+    net.post_tx(0, 1000)  # queued behind the first: still nothing scheduled
+    assert not sim._heap
+    assert sim.stats.events_elided == 8
+    assert net.total_messages == 2 and net.total_bytes == 2000
 
 
-def test_live_tx_hold_materialises_for_coroutine_contender():
+def test_timeline_plans_fifo_in_closed_form():
     sim = Simulator()
     net = Network(sim, FAST_ETHERNET, 2, fast_path=True)
-    assert net.try_hold_tx(0, 115_000)  # holds TX NIC for overhead + 10ms
-    hold_end = (0.0 + FAST_ETHERNET.per_message_overhead_s) + 115_000 / 11.5e6
-    done = []
-
-    def contender():
-        yield from net.tx(0, 115_000)
-        done.append(sim.now)
-
-    sim.process(contender())
+    overhead, ser = FAST_ETHERNET.per_message_overhead_s, 115_000 / 11.5e6
+    net.post_tx(0, 115_000)
+    # a blocking sender leg queued behind the background leg
+    waited = sim.process(net.tx(0, 115_000))
+    first_end = (0.0 + overhead) + ser
     sim.run()
-    # the contender queued until exactly the hold's end, then transferred
-    expected = (hold_end + 115_000 / 11.5e6)
-    assert done[0] == pytest.approx(expected, rel=1e-12)
+    assert waited.value == first_end + ser
+    # one end event, plus the process's completion
+    assert sim.processed_events == 2
+    # the NIC is idle again: the next leg starts at its own arrival
+    sim.process(net.tx(0, 0))
+    sim.run()
+    assert sim.now == (first_end + ser) + overhead
 
 
-def test_fabric_disables_tx_fast_path():
+def test_nic_inflight_counts_legs_between_events():
+    sim = Simulator()
+    net = Network(sim, FAST_ETHERNET, 2, fast_path=True)
+    net.post_tx(0, 115_000)                # node 0 TX busy until ~10.02 ms
+    net.plan_rx(1, 115_000)                # node 1 RX busy until ~10.12 ms
+    assert net.nic_inflight(0.005) == [1, 1]
+    assert net.nic_inflight(0.01011) == [0, 1]
+    assert net.nic_inflight(1.0) == [0, 0]
+
+
+def test_fabric_keeps_the_coroutine_model():
     from dataclasses import replace
 
     sim = Simulator()
     spec = replace(FAST_ETHERNET, switch_capacity=2)
     net = Network(sim, spec, 2, fast_path=True)
-    assert net.try_reserve_tx(0, 1000) is None
-    assert not net.try_hold_tx(0, 1000)
+    assert net.fast_path and not net.timelines
+    net.post_tx(0, 1000)  # a spawned coroutine, not a planned leg
+    assert sim.stats.processes == 1 and sim.stats.events_elided == 0
 
 
 # ----------------------------------------------------- runtime signal gating

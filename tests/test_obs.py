@@ -456,8 +456,9 @@ class _StubCtx:
 class _StubNet:
     def __init__(self, n):
         self.n_nodes = n
-        self._tx_inflight = [0] * n
-        self._rx_inflight = [0] * n
+
+    def nic_inflight(self, at):
+        return [0] * self.n_nodes
 
 
 class _StubCluster:
@@ -604,6 +605,22 @@ class TestSampledScenario:
         plain = run_scenario(FAILURE_CONFIG)
         runner.clear_caches()
         assert parity_metrics(plain) == parity_metrics(sampled_result)
+
+    def test_nic_occupancy_matches_the_coroutine_model(self, sampled_failure_run,
+                                                       monkeypatch):
+        """NIC legs planned on the fast path's timelines are sampled at the
+        bin edges themselves, so NIC utilization equals the coroutine
+        model's bin for bin."""
+        result, telemetry = sampled_failure_run
+        monkeypatch.setenv(FAST_PATH_ENV, "0")
+        runner.clear_caches()
+        slow = run_scenario(FAILURE_CONFIG,
+                            telemetry=Telemetry(trace=False, sample_bin_s=SAMPLE_BIN))
+        runner.clear_caches()
+        assert result.nic_util_peak == slow.nic_util_peak > 0
+        assert result.nic_util_mean == slow.nic_util_mean > 0
+        assert [list(a) for a in telemetry.sampler.nic_inflight] == \
+            [list(a) for a in slow.telemetry.sampler.nic_inflight]
 
     def test_series_exports_round_trip(self, sampled_failure_run, tmp_path):
         _, telemetry = sampled_failure_run

@@ -13,6 +13,8 @@ rollback with no replay, and elastic shrink with and without an image ship.
 Each scenario runs under both ``REPRO_SIM_FASTPATH`` modes and must match
 that mode's golden entry bit-for-bit, event counts included — a refactor of
 the recovery engine may not add, drop or reorder a single simulator event.
+The two modes' entries must also account for each other exactly: the fast
+path's processed plus elided events equal the coroutine model's.
 Regenerate the golden only for an intended change of simulated results:
 ``PYTHONPATH=src python tools/make_parity_golden.py``.
 """
@@ -62,3 +64,13 @@ def test_recovery_matches_golden(label, mode, golden, monkeypatch):
     for got, want in zip(metrics["reports"], expected["reports"]):
         assert got == want
     assert metrics == expected
+
+
+@pytest.mark.parametrize("label", sorted(SCENARIOS))
+def test_fast_path_events_are_exactly_accounted(label, golden):
+    """Every coroutine event the fast path skips — including those of legs
+    interrupted by a failure and of legs still in flight when the run
+    stops — is counted as elided: ``fast + elided == coroutine``."""
+    fast, slow = golden[label]["fastpath=1"], golden[label]["fastpath=0"]
+    assert slow["events_elided"] == 0
+    assert fast["processed_events"] + fast["events_elided"] == slow["processed_events"]
