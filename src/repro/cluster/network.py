@@ -45,10 +45,12 @@ relative timeouts and grants, so completion times agree bit for bit.  A
 background send therefore schedules nothing (:meth:`Network.post_tx`); a
 delivery (:meth:`Network.plan_rx`) and a waited-for leg (:meth:`Network.tx`,
 :meth:`Network.rx_path`, so also :meth:`Network.transfer`) schedule exactly
-one event, at the leg's end.  The events the coroutine model would have
-processed instead are counted in ``sim.stats.events_elided``
-(:meth:`Network.settle_elided` takes back those of legs still in flight
-when a run stops).  One thing is not reproduced: among events due at the
+one event, at the leg's end.  A delivery whose receiver only needs to know
+when it lands (a bookmark of the runtime's counted fan-in) schedules none:
+:meth:`Network.reserve_rx` reserves its end event's calendar key instead.
+The events the coroutine model would have processed instead are counted in
+``sim.stats.events_elided`` (:meth:`Network.settle_elided` takes back those
+of legs still in flight when a run stops).  One thing is not reproduced: among events due at the
 very same instant, an end event is ordered by when its leg was planned,
 whereas the coroutine model orders it by when the NIC was granted.  The
 simulated outputs of every FULL-scale benchmark cell still agree
@@ -86,7 +88,7 @@ def fast_path_default() -> bool:
 
 
 #: one planned leg: ``(arrival at the NIC, serialisation time, end, end event
-#: or None for a background send, coroutine events elided at the end)``
+#: or None when nothing is scheduled, coroutine events elided at the end)``
 _Leg = Tuple[float, float, float, Optional[Event], int]
 
 
@@ -288,6 +290,22 @@ class Network:
         self.sim.stats.fastpath_rx += 1
         return self._plan(self._rx_free, self._rx_legs, dst_node,
                           self._latency_s, nbytes, 1, True, value)
+
+    def reserve_rx(self, dst_node: int, nbytes: int) -> Tuple[float, int]:
+        """Receiver leg of a delivery with no end event; returns its end key.
+
+        Plans the leg like :meth:`plan_rx` but schedules nothing: the
+        serialisation timeout is elided too.  It only reserves the calendar
+        key ``(end, seq)`` :meth:`plan_rx`'s end event would have had, so a
+        caller that later does need the event can push it there
+        (:meth:`~repro.sim.engine.Simulator.push_reserved`; it then counts
+        one elided event less) and one that does not can still tell when it
+        would have fired (:meth:`~repro.sim.engine.Simulator.passed`).
+        """
+        self.sim.stats.fastpath_rx += 1
+        self._plan(self._rx_free, self._rx_legs, dst_node, self._latency_s,
+                   nbytes, 2, False)
+        return self._rx_free[dst_node], self.sim.reserve_seq()
 
     def _cancel(self, free: List[float], legs: List[List[_Leg]], node: int,
                 done: Event) -> None:

@@ -149,12 +149,30 @@ class GroupRankProtocol(RankProtocol):
             yield from self.runtime.control_send(self.ctx, leader, tag=ready_tag)
             yield from self.runtime.control_recv(self.ctx, src=leader, tag=go_tag)
 
+    def _quiesce_time(self, n_peers: int) -> float:
+        """Per-channel quiesce work (crtcp bookmark handling, TCP drain) and
+        the occasional stall — the term that makes global coordination
+        expensive.  One stall coin per channel, drawn in one batch."""
+        cfg = self.config
+        rng = self.runtime.rng
+        rank = self.ctx.rank
+        quiesce = n_peers * cfg.per_channel_quiesce_s
+        if cfg.channel_stall_probability > 0:
+            stalls = rng.bernoulli_count(f"ckpt-stall:rank{rank}",
+                                         cfg.channel_stall_probability, n_peers)
+            for _ in range(stalls):
+                quiesce += rng.exponential(f"ckpt-stall-len:rank{rank}", cfg.channel_stall_s)
+        if cfg.unexpected_delay_probability > 0 and rng.bernoulli(
+            f"ckpt-delay:rank{rank}", cfg.unexpected_delay_probability
+        ):
+            quiesce += rng.exponential(f"ckpt-delay-len:rank{rank}", cfg.unexpected_delay_s)
+        return quiesce
+
     def checkpoint(self, request: CheckpointRequest) -> Generator["Event", Any, CheckpointRecord]:
         """Run the group-coordinated checkpoint (Algorithm 1, checkpoint part)."""
         runtime = self.runtime
         ctx = self.ctx
         cfg = self.config
-        rng = runtime.rng
         participants = tuple(sorted(request.participants))
         others = [p for p in participants if p != ctx.rank]
         stages: Dict[str, float] = {}
@@ -175,39 +193,14 @@ class GroupRankProtocol(RankProtocol):
         if flushed > 0:
             yield from runtime.storage_write(ctx, flushed)
 
-        # Bookmark exchange: tell every group member how much we sent to them.
-        bookmark_tag = _ctrl_tag(request.ckpt_id, _TAG_BOOKMARK)
-        for peer in others:
-            yield from runtime.control_send(
-                ctx, peer, tag=bookmark_tag, payload=ctx.account.sent_to(peer)
-            )
-
-        # Per-channel quiesce work (crtcp bookmark handling, TCP drain) and the
-        # occasional stall — the term that makes global coordination expensive.
-        quiesce = len(others) * cfg.per_channel_quiesce_s
-        for peer in others:
-            if cfg.channel_stall_probability > 0 and rng.bernoulli(
-                f"ckpt-stall:rank{ctx.rank}", cfg.channel_stall_probability
-            ):
-                quiesce += rng.exponential(f"ckpt-stall-len:rank{ctx.rank}", cfg.channel_stall_s)
-        if cfg.unexpected_delay_probability > 0 and rng.bernoulli(
-            f"ckpt-delay:rank{ctx.rank}", cfg.unexpected_delay_probability
-        ):
-            quiesce += rng.exponential(f"ckpt-delay-len:rank{ctx.rank}", cfg.unexpected_delay_s)
-        if quiesce > 0:
-            yield runtime.sim.timeout(quiesce)
-
-        # Receive every member's bookmark and drain in-transit intra-group data.
-        # On the fast path a drain that is already satisfied is not waited
-        # for: its delay-zero wake event is elided.
-        skip_satisfied = runtime.cluster.network.fast_path
-        for _ in others:
-            msg = yield from runtime.control_recv(ctx, tag=bookmark_tag)
-            announced = int(msg.payload or 0)
-            if skip_satisfied and ctx.account.received_from(msg.src) >= announced:
-                runtime.sim.stats.events_elided += 1
-                continue
-            yield ctx.wait_for_received(msg.src, announced)
+        # Bookmark exchange, per-channel quiesce, and drain of in-transit
+        # intra-group data.  On the fast path the drain never has to wait:
+        # every application message a member sent before its bookmark was
+        # planned earlier on the receiver's FIFO RX timeline, so it lands
+        # first (MpiRuntime.exchange_bookmarks).
+        yield from runtime.exchange_bookmarks(
+            ctx, others, _ctrl_tag(request.ckpt_id, _TAG_BOOKMARK),
+            lambda: self._quiesce_time(len(others)))
 
         # Entry barrier: all members ready to dump.
         yield from self._group_barrier(

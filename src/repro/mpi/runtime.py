@@ -4,8 +4,8 @@ One :class:`RankContext` per MPI process holds the inbox, the S/R channel
 accounting, pending checkpoint requests and per-rank statistics.  The
 :class:`MpiRuntime` moves messages between contexts through the cluster's
 network model, interprets application operation scripts, and gives checkpoint
-protocols the services they need (control messages, drain waits, storage
-access).
+protocols the services they need (control messages, the bookmark exchange
+and drain, storage access).
 
 Checkpoint signals are honoured at operation boundaries and while a rank is
 blocked in a receive, mirroring where a system-level checkpointing layer
@@ -16,6 +16,7 @@ process.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Sequence, Tuple, Union
@@ -40,7 +41,7 @@ from repro.mpi.ops import (
     Wait,
 )
 from repro.mpi.tracer import Tracer
-from repro.sim.engine import Interrupt, SimProcess, Simulator
+from repro.sim.engine import Interrupt, SimProcess, SimulationError, Simulator
 from repro.sim.primitives import Event, Timeout, _fire_event_now
 from repro.sim.rng import RandomStreams
 
@@ -80,8 +81,10 @@ class Inbox:
       lists messages exactly as the seed's insertion-ordered ``items`` did.
 
     Wildcard receives are on the hot path at the paper's scale: every
-    NORM/GP bookmark and barrier collection and every Chandy–Lamport marker
-    is a ``(kind, ANY_SOURCE, tag)`` receive, repeated per peer per wave.
+    NORM/GP barrier collection and every Chandy–Lamport marker (and, off the
+    counted fan-in of :meth:`MpiRuntime.exchange_bookmarks`, every bookmark
+    collection) is a ``(kind, ANY_SOURCE, tag)`` receive, repeated per peer
+    per wave.
     Two rules keep them cheap:
 
     * **Reclaim.** A bucket is deleted the moment it empties, so
@@ -313,6 +316,114 @@ class Inbox:
         """Re-deposit a captured inbox (checkpoint image) in its saved order."""
         for msg in messages:
             self.put(msg)
+
+
+class _BookmarkBoard:
+    """The bookmarks planned toward one rank for one wave (counted fan-in).
+
+    Senders post each bookmark here instead of delivering a message: the
+    end time of its receiver leg, the calendar key the leg's end event
+    would have had, and ``(src, announced bytes)``.  Bookmarks share the
+    receiver's FIFO RX timeline, so ``ends`` is non-decreasing and the last
+    bookmark planned is the last to arrive.
+    """
+
+    __slots__ = ("ends", "last_seq", "senders", "expected", "collected")
+
+    def __init__(self) -> None:
+        self.ends: List[float] = []
+        #: reserved tie-break sequence of the last bookmark's end event
+        self.last_seq = 0
+        self.senders: List[Tuple[int, int]] = []
+        #: bookmarks the collecting receiver waits for (set when it starts)
+        self.expected = 0
+        #: fires when the receiver has collected them all (None until it starts)
+        self.collected: Optional[Event] = None
+
+
+class _BookmarkBurst:
+    """One rank's bookmark sends on the counted fan-in, as a callback chain.
+
+    Each bookmark still costs the per-message overhead timeout, at the same
+    time and calendar position as :meth:`MpiRuntime.control_send`'s, but
+    the timeout's callback plans the send directly instead of resuming the
+    rank's generator chain, and the receiver leg has no end event (see
+    :meth:`~repro.cluster.network.Network.reserve_rx`).  ``sent`` fires
+    synchronously in the last timeout's callback, where the generator
+    resumed after its last ``control_send``.
+    """
+
+    __slots__ = ("runtime", "ctx", "peers", "tag", "sent", "_next", "_callback")
+
+    def __init__(self, runtime: "MpiRuntime", ctx: "RankContext",
+                 peers: Sequence[int], tag: int, sent: Event) -> None:
+        self.runtime = runtime
+        self.ctx = ctx
+        self.peers = peers
+        self.tag = tag
+        self.sent = sent
+        self._next = 0
+        self._callback = self._send
+        Timeout(runtime.sim, runtime.cluster.network._overhead_s).callbacks.append(
+            self._callback)
+
+    def _send(self, _ev: Event) -> None:
+        runtime = self.runtime
+        ctx = self.ctx
+        peer = self.peers[self._next]
+        self._next += 1
+        size = runtime.config.control_message_bytes
+        net = runtime.cluster.network
+        net.post_tx(ctx.node_id, size)
+        end, seq = net.reserve_rx(runtime.contexts[peer].node_id, size)
+        key = (peer, self.tag)
+        boards = runtime._boards
+        board = boards.get(key)
+        if board is None:
+            board = boards[key] = _BookmarkBoard()
+        board.ends.append(end)
+        board.last_seq = seq
+        board.senders.append((ctx.rank, ctx.account.sent_to(peer)))
+        if board.collected is not None and len(board.ends) == board.expected:
+            runtime._wake_collector(key, board)
+        if self._next < len(self.peers):
+            Timeout(runtime.sim, net._overhead_s).callbacks.append(self._callback)
+        else:
+            sent = self.sent
+            sent._triggered = True
+            _fire_event_now(sent)
+
+
+class _CollectHops:
+    """Immediate-queue chain of ``left`` hops, then ``collected`` fires.
+
+    Replays the inbox path's receives of bookmarks that were all in already:
+    each buffered receive resumes the rank through one immediate callback,
+    queued when the previous one ran.
+    """
+
+    __slots__ = ("sim", "left", "collected")
+
+    def __init__(self, sim: Simulator, left: int, collected: Event) -> None:
+        self.sim = sim
+        self.left = left
+        self.collected = collected
+
+    def __call__(self, _arg: Any) -> None:
+        self.left -= 1
+        if self.left:
+            self.sim._immediate.append((self, None))
+        else:
+            collected = self.collected
+            collected._triggered = True
+            _fire_event_now(collected)
+
+
+def _wake_collected(ev: Event) -> None:
+    """End event of a fan-in's last bookmark: resume the waiting receiver."""
+    collected = ev._value
+    collected._triggered = True
+    ev.sim._immediate.append((_fire_event_now, collected))
 
 
 @dataclass
@@ -659,6 +770,8 @@ class MpiRuntime:
         self.recovery_manager: Optional[Any] = None
         #: messages dropped because an endpoint was rolled back in flight
         self.dropped_messages = 0
+        #: counted bookmark fan-in boards by ``(receiver rank, tag)``
+        self._boards: Dict[Tuple[int, int], _BookmarkBoard] = {}
         #: reason string once the run has been declared unsurvivable
         self.aborted: Optional[str] = None
         #: telemetry handle (``repro.obs.Telemetry``) once attached; the
@@ -986,7 +1099,13 @@ class MpiRuntime:
                     wait = max(ctx.next_visible_at() - self.sim.now, 0.0)
                     yield self.sim.any_of([get_ev, self.sim.timeout(wait)])
                 else:
-                    yield self.sim.any_of([get_ev, ctx.signal_event])
+                    signal = ctx.signal_event
+                    wake = self.sim.any_of([get_ev, signal])
+                    yield wake
+                    if not signal._processed:
+                        # the message won: detach the condition from the
+                        # signal, which may not fire for a long time
+                        signal.callbacks.remove(wake._on_fire)
                 if get_ev._processed:
                     msg = get_ev._value
                     break
@@ -1012,6 +1131,139 @@ class MpiRuntime:
         get_ev = ctx.inbox.get(kind, src, tag)
         yield get_ev
         return get_ev.value
+
+    def exchange_bookmarks(
+        self,
+        ctx: RankContext,
+        peers: Sequence[int],
+        tag: int,
+        quiesce: Callable[[], float],
+    ) -> Generator[Event, None, None]:
+        """Bookmark exchange and drain of a group checkpoint (Algorithm 1).
+
+        Sends each of ``peers`` a bookmark announcing the application bytes
+        sent to it so far, pauses ``quiesce()`` seconds (called once the
+        last bookmark is sent, so its random draws follow the sends), then
+        collects every peer's bookmark and drains: waits until the bytes
+        each one announced have arrived.
+
+        **Counted fan-in.**  On the NIC timelines without a failure injector
+        (and with every participant on its own node) the drain never needs
+        to wait.  A rank handles a checkpoint request only between
+        operations or inside a blocked receive, so every application send
+        it made has already planned its receiver leg.  Those legs sit on the
+        receiver's FIFO RX timeline, where arrival is the planning time plus
+        a constant, so each ends before the bookmark planned after it.  The
+        receiver therefore only needs the moment its *last* bookmark lands:
+        senders post bookmarks on a board with no delivery event
+        (:class:`_BookmarkBurst`), and the receiver resumes on one calendar
+        event pushed under the last bookmark's reserved key, or through one
+        immediate hop per bookmark when all of them were in before it
+        started collecting — exactly when and in what order the inbox path
+        would have resumed it.  A bookmark whose announced bytes have still
+        not all arrived once the last bookmark is in raises
+        :class:`~repro.sim.engine.SimulationError`: the argument failed.
+
+        Otherwise bookmarks travel as control messages through the inbox
+        (the coroutine model's oracle, and the path of failure runs, where
+        rollbacks and connection-reset drops break the FIFO argument).
+        """
+        sim = self.sim
+        n = len(peers)
+        fan_in = n > 0 and self._counted_fan_in(ctx, peers)
+        if fan_in:
+            sent = Event(sim)
+            _BookmarkBurst(self, ctx, peers, tag, sent)
+            yield sent
+        else:
+            for peer in peers:
+                yield from self.control_send(ctx, peer, tag=tag,
+                                             payload=ctx.account.sent_to(peer))
+        pause = quiesce()
+        if pause > 0:
+            yield Timeout(sim, pause)
+        if not fan_in:
+            # on the fast path a drain that is already satisfied is not
+            # waited for: its delay-zero wake event is elided
+            skip_satisfied = self.cluster.network.fast_path
+            for _ in peers:
+                msg = yield from self.control_recv(ctx, tag=tag)
+                announced = int(msg.payload or 0)
+                if skip_satisfied and ctx.account.received_from(msg.src) >= announced:
+                    sim.stats.events_elided += 1
+                    continue
+                yield ctx.wait_for_received(msg.src, announced)
+            return
+        key = (ctx.rank, tag)
+        board = self._boards.get(key)
+        if board is None:
+            board = self._boards[key] = _BookmarkBoard()
+        planned = len(board.ends)
+        collected = Event(sim)
+        if planned == n and sim.passed(board.ends[-1], board.last_seq):
+            del self._boards[key]
+            sim._immediate.append((_CollectHops(sim, n, collected), None))
+        else:
+            board.expected = n
+            board.collected = collected
+            if planned == n:
+                self._wake_collector(key, board)
+        yield collected
+        account = ctx.account
+        for src, announced in board.senders:
+            if account.received_from(src) < announced:
+                raise SimulationError(
+                    f"rank {ctx.rank}: bookmark from rank {src} announced "
+                    f"{announced} bytes but only {account.received_from(src)} "
+                    "arrived; the counted fan-in's drain argument does not hold")
+        # every drain was satisfied: the delay-zero wake events are elided
+        sim.stats.events_elided += n
+
+    def _counted_fan_in(self, ctx: RankContext, peers: Sequence[int]) -> bool:
+        """Whether a wave's bookmark exchange takes the counted fan-in.
+
+        Needs the NIC timelines, no failure injector, and every participant
+        on its own node: a same-node bookmark is delivered through the
+        immediate queue, not on an RX timeline.  Every participant of a wave
+        computes the same answer.
+        """
+        if not self.cluster.network.timelines or self.failures_enabled:
+            return False
+        contexts = self.contexts
+        nodes = {contexts[p].node_id for p in peers}
+        nodes.add(ctx.node_id)
+        return len(nodes) == len(peers) + 1
+
+    def _wake_collector(self, key: Tuple[int, int], board: _BookmarkBoard) -> None:
+        """Push the last bookmark's end event for the collecting receiver.
+
+        It goes under the key its :meth:`plan_rx` event would have had, so
+        the receiver resumes where the inbox path's last delivery would have
+        resumed it; that event is no longer elided.
+        """
+        del self._boards[key]
+        sim = self.sim
+        ev = Event(sim)
+        ev._triggered = True
+        ev._value = board.collected
+        ev.callbacks.append(_wake_collected)
+        sim.push_reserved(board.ends[-1], board.last_seq, ev)
+        sim.stats.events_elided -= 1
+
+    def uncollected_bookmarks(self, at: float) -> Dict[int, int]:
+        """Fan-in bookmarks delivered before ``at`` but not yet collected, per rank.
+
+        These are what the inbox path would hold in the ranks' inboxes: the
+        state sampler adds them to its inbox depths at each bin edge ``at``
+        it crosses (a board being collected holds nothing any more).
+        """
+        out: Dict[int, int] = {}
+        for (rank, _tag), board in self._boards.items():
+            if board.collected is None:
+                delivered = bisect_left(board.ends, at)
+                if delivered:
+                    out[rank] = out.get(rank, 0) + delivered
+        return out
 
     # ----------------------------------------------------- storage for protocols
     def storage_write(self, ctx: RankContext, nbytes: int) -> Generator[Event, None, float]:

@@ -157,10 +157,18 @@ class StateSampler:
 
         NIC legs planned on closed-form timelines start and end between
         events, so NIC occupancy is read from the network at the edge
-        itself rather than from the shared snapshot.
+        itself rather than from the shared snapshot — and so are the
+        bookmarks a counted fan-in delivers without an event, which the
+        inbox depth counts until their receiver collects them.
         """
         states, depths, logged, storage = snap
-        nic = array("l", self._runtime.cluster.network.nic_inflight(edge))
+        runtime = self._runtime
+        bookmarks = runtime.uncollected_bookmarks(edge)
+        if bookmarks:
+            depths = array("l", depths)
+            for rank, count in bookmarks.items():
+                depths[rank] += count
+        nic = array("l", runtime.cluster.network.nic_inflight(edge))
         self.edges.append(edge)
         self.rank_states.append(states)
         self.inbox_depths.append(depths)

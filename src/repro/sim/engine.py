@@ -16,6 +16,13 @@ already-fired event all go through it, so none of those paths allocates (or
 heap-schedules) a wake event any more.  The elisions are counted in
 :class:`SimStats` (``sim.stats``), which also tracks heap pushes and events
 created by kind — speedups are measured, not assumed.
+
+A fast path may also *reserve* an entry's tie-break sequence number where the
+full model would have scheduled the event (:meth:`Simulator.reserve_seq`) and
+push the event under that key later, or never (:meth:`Simulator.push_reserved`).
+Every run loop records the key of the entry it is processing, so
+:meth:`Simulator.passed` can tell whether a reserved entry would already have
+fired — the same order the calendar would have produced.
 """
 
 from __future__ import annotations
@@ -259,6 +266,9 @@ class Simulator:
         self.now: float = 0.0
         self._heap: List[tuple[float, int, Event]] = []
         self._counter = 0
+        #: tie-break sequence of the calendar entry being processed (with
+        #: ``now``, its key); entries keyed below it have all been processed
+        self._entry_seq = 0
         self._active_process: Optional[SimProcess] = None
         self._event_count = 0
         #: callbacks to run at the current time, before the next calendar event
@@ -310,12 +320,36 @@ class Simulator:
         it still counts as one processed event.  Used when a cancelled
         network leg pulls a later leg's end forward.
         """
-        if time < self.now:
-            raise ValueError(f"cannot fire at {time} before the current time {self.now}")
+        self.push_reserved(time, self.reserve_seq(), event)
+
+    def reserve_seq(self) -> int:
+        """Take the calendar tie-break sequence number a push would take now.
+
+        Together with :meth:`push_reserved` this splits :meth:`fire_at` in
+        two: a fast path can fix an event's calendar key where the full
+        model would have scheduled it, and push the event later — or never,
+        when nobody turns out to wait for it (the entry is then *virtual*:
+        :meth:`passed` still says when it would have been processed).
+        """
         counter = self._counter + 1
         self._counter = counter
-        _heappush(self._heap, (time, counter, event))
+        return counter
+
+    def push_reserved(self, time: float, seq: int, event: Event) -> None:
+        """Put ``event`` on the calendar under the reserved key ``(time, seq)``."""
+        if time < self.now:
+            raise ValueError(f"cannot fire at {time} before the current time {self.now}")
+        _heappush(self._heap, (time, seq, event))
         self.stats.heap_pushes += 1
+
+    def passed(self, time: float, seq: int) -> bool:
+        """Whether a calendar entry keyed ``(time, seq)`` is already processed.
+
+        True for keys below the entry being processed: the calendar pops in
+        key order, so such an entry would have popped before it.
+        """
+        now = self.now
+        return time < now or (time == now and seq < self._entry_seq)
 
     def process(self, generator: ProcessGenerator, name: EventName = None) -> SimProcess:
         """Register ``generator`` as a simulation process starting now."""
@@ -369,10 +403,11 @@ class Simulator:
             self._drain_immediate()
         if not self._heap:
             raise SimulationError("step() on an empty calendar")
-        time, _, event = heapq.heappop(self._heap)
+        time, seq, event = heapq.heappop(self._heap)
         if time < self.now - 1e-12:  # pragma: no cover - defensive
             raise SimulationError("event scheduled in the past")
         self.now = time
+        self._entry_seq = seq
         self._event_count += 1
         callbacks = event.callbacks
         event._processed = True
@@ -448,8 +483,9 @@ class Simulator:
                     )
                 if limit is not None and heap[0][0] > limit:
                     return False
-                time, _, ev = pop(heap)
+                time, seq, ev = pop(heap)
                 self.now = time
+                self._entry_seq = seq
                 if time >= sample_edge:
                     sampler.observe(time)
                     sample_edge = sampler.next_edge

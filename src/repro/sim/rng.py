@@ -67,6 +67,13 @@ class RandomStreams:
             raise ValueError("p must be in [0, 1]")
         return bool(self.stream(name).random() < p)
 
+    def bernoulli_count(self, name: str, p: float, n: int) -> int:
+        """Successes among ``n`` coin flips: :meth:`bernoulli` ``n`` times, in
+        one vectorised draw (the stream advances by the same ``n`` values)."""
+        if not 0.0 <= p <= 1.0:
+            raise ValueError("p must be in [0, 1]")
+        return int(np.count_nonzero(self.stream(name).random(n) < p))
+
     def integers(self, name: str, low: int, high: int) -> int:
         """One integer draw in ``[low, high)``."""
         return int(self.stream(name).integers(low, high))

@@ -473,6 +473,9 @@ class _StubRuntime:
         self._rank_processes = [None] * n
         self.cluster = _StubCluster(n)
 
+    def uncollected_bookmarks(self, at):
+        return {}
+
 
 class TestStateSamplerUnit:
     def test_invalid_args_rejected(self):
